@@ -14,12 +14,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The four bit-for-bit equivalence gates under the race detector: the
+# The three bit-for-bit equivalence gates under the race detector: the
 # active-set kernel against the dense reference, the pooled memory
 # engine (arena recycling + cross-cell network reuse) against the
-# no-pool reference, the columnar flit banks against the struct-field
-# reference, and the sharded two-phase tick against the serial kernel —
-# each with the invariant checker attached. The sharded gate is the one
+# no-pool reference, and the sharded two-phase tick against the serial
+# kernel — each with the invariant checker attached. The sharded gate is the one
 # the race detector bites hardest: any unsynchronized cross-shard access
 # in the barrier is a hard failure there, not a flaky diff. `race`
 # already covers them via ./...; this target exists so CI names them
@@ -27,13 +26,14 @@ race:
 # -timeout overrides go test's 600s default: on a single-core machine
 # the sharded gate alone can exceed it under the race detector.
 race-equality:
-	$(GO) test -race -count=1 -timeout 45m -run='^(TestActiveSetEqualsDense|TestPoolEqualsNoPool|TestColumnarEqualsReference|TestShardedEqualsSerial)$$' ./internal/experiments
+	$(GO) test -race -count=1 -timeout 45m -run='^(TestActiveSetEqualsDense|TestPoolEqualsNoPool|TestShardedEqualsSerial)$$' ./internal/experiments
 
 # The large-radix smoke cells: a short 16x16 AFC run with the invariant
 # checker attached, serial and through the sharded tick at 8 shards (see
 # TestLargeMesh16x16Smoke / TestLargeMesh16x16ShardedSmoke), so the
-# regime the columnar banks and the sharded barrier target is exercised
-# on every CI run even though the paper's own experiments stop at 3x3.
+# regime the slab-resident routers and the sharded barrier target is
+# exercised on every CI run even though the paper's own experiments stop
+# at 3x3.
 smoke-16x16:
 	$(GO) test -short -count=1 -run='^TestLargeMesh16x16(Sharded)?Smoke$$' ./internal/network
 
@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzArenaHandles$$' -fuzztime=10s ./internal/flit
 	$(GO) test -run='^$$' -fuzz='^FuzzShardBarrier$$' -fuzztime=10s ./internal/network
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/trace
 
 # One tiny sweep with every observability flag on: the run must succeed,
 # leave a heap profile behind, and produce a manifest that records the

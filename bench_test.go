@@ -76,9 +76,9 @@ func BenchmarkKernelStep(b *testing.B) {
 }
 
 // BenchmarkKernelStep16x16 is BenchmarkKernelStep on a 16x16 mesh — the
-// large-radix regime the columnar flit banks target (the paper's own
-// evaluation stops at 3x3; the deflection literature it builds on lives
-// at 64-1024 nodes). The per-cycle cost scales with the router count, so
+// large-radix regime the slab-resident router state targets (the
+// paper's own evaluation stops at 3x3; the deflection literature it
+// builds on lives at 64-1024 nodes). The per-cycle cost scales with the router count, so
 // expect roughly 256/9 of the 3x3 number; what this bench tracks is that
 // the per-router cost does not degrade with radix and that the steady
 // state stays allocation-free at scale. The injection rate is scaled

@@ -63,31 +63,29 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("afcsim: ")
 	var (
-		kindFlag   = flag.String("kind", "afc", "router kind: backpressured|ideal-bypass|backpressureless|drop|afc|afc-always-bp|all")
-		benchFlag  = flag.String("bench", "apache", "workload: apache|oltp|specjbb|barnes|ocean|water|all")
-		seed       = flag.Int64("seed", 1, "random seed")
-		warmup     = flag.Uint64("warmup", 2000, "warmup transactions before measurement")
-		tx         = flag.Uint64("tx", 6000, "measured transactions")
-		limit      = flag.Uint64("limit", 20_000_000, "cycle limit")
-		oldest     = flag.Bool("oldest", false, "use oldest-first deflection arbitration instead of randomized")
-		prealloc   = flag.Bool("wb-prealloc", false, "use the writeback pre-allocation protocol variant (Section II)")
-		realVCA    = flag.Bool("realistic-vca", false, "model the 3-stage backpressured pipeline (non-speculative VCA)")
-		meshFlag   = flag.String("mesh", "3x3", "mesh dimensions WxH (the paper uses 3x3; Sec. V-B uses 8x8)")
-		scenarioF  = flag.String("scenario", "", "instead of a workload, run the JSON scenario spec at this path open-loop and report per-phase completion-time percentiles")
-		recordTo   = flag.String("record", "", "record the created packet trace to this file")
-		replayOf   = flag.String("replay", "", "instead of a workload, replay a trace file recorded with -record")
-		parallel   = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked    = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker (or set AFCSIM_CHECK=1); identical results, slower")
-		dense      = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
-		nopool     = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
-		nocolumnar = flag.Bool("nocolumnar", network.NoColumnarFromEnv(), "read per-flit state from struct fields instead of the columnar banks (or set AFCSIM_NOCOLUMNAR=1); identical results")
-		elide      = flag.Bool("elidepayload", network.ElidePayloadFromEnv(), "drop the arena's payload column (or set AFCSIM_ELIDEPAYLOAD=1); identical results, smaller columnar rows")
-		shards     = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest   = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress   = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		kindFlag  = flag.String("kind", "afc", "router kind: backpressured|ideal-bypass|backpressureless|drop|afc|afc-always-bp|all")
+		benchFlag = flag.String("bench", "apache", "workload: apache|oltp|specjbb|barnes|ocean|water|all")
+		seed      = flag.Int64("seed", 1, "random seed")
+		warmup    = flag.Uint64("warmup", 2000, "warmup transactions before measurement")
+		tx        = flag.Uint64("tx", 6000, "measured transactions")
+		limit     = flag.Uint64("limit", 20_000_000, "cycle limit")
+		oldest    = flag.Bool("oldest", false, "use oldest-first deflection arbitration instead of randomized")
+		prealloc  = flag.Bool("wb-prealloc", false, "use the writeback pre-allocation protocol variant (Section II)")
+		realVCA   = flag.Bool("realistic-vca", false, "model the 3-stage backpressured pipeline (non-speculative VCA)")
+		meshFlag  = flag.String("mesh", "3x3", "mesh dimensions WxH (the paper uses 3x3; Sec. V-B uses 8x8)")
+		scenarioF = flag.String("scenario", "", "instead of a workload, run the JSON scenario spec at this path open-loop and report per-phase completion-time percentiles")
+		recordTo  = flag.String("record", "", "record the created packet trace to this file")
+		replayOf  = flag.String("replay", "", "instead of a workload, replay a trace file recorded with -record")
+		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
+		checked   = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker (or set AFCSIM_CHECK=1); identical results, slower")
+		dense     = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
+		nopool    = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
+		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
+		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
+		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
@@ -163,7 +161,7 @@ func main() {
 	}
 
 	if *scenarioF != "" {
-		if err := runScenario(*scenarioF, kinds, mesh, *seed, *parallel, *checked, *dense, *nopool, *nocolumnar, *elide, *shards, ob); err != nil {
+		if err := runScenario(*scenarioF, kinds, mesh, *seed, *parallel, *checked, *dense, *nopool, *shards, ob); err != nil {
 			finish()
 			log.Fatal(err)
 		}
@@ -173,7 +171,7 @@ func main() {
 
 	if *replayOf != "" {
 		for _, k := range kinds {
-			if err := replayOne(*replayOf, k, *seed, *checked, *dense, *nopool, *nocolumnar, *elide, *shards, ob); err != nil {
+			if err := replayOne(*replayOf, k, *seed, *checked, *dense, *nopool, *shards, ob); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -202,7 +200,7 @@ func main() {
 			p.WritebackPreAlloc = true
 		}
 		var buf bytes.Buffer
-		if err := runOne(&buf, p, k, mesh, pol, *realVCA, *seed, *warmup, *tx, *limit, *recordTo, *checked, *dense, *nopool, *nocolumnar, *elide, *shards, ob); err != nil {
+		if err := runOne(&buf, p, k, mesh, pol, *realVCA, *seed, *warmup, *tx, *limit, *recordTo, *checked, *dense, *nopool, *shards, ob); err != nil {
 			return nil, err
 		}
 		return &buf, nil
@@ -220,7 +218,7 @@ func main() {
 // runScenario runs a scenario spec across the selected kinds and prints
 // the per-phase completion-time report. The spec's timeline replaces the
 // closed-loop workload entirely.
-func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, parallel int, checked, dense, nopool, nocolumnar, elide bool, shards int, ob *obs.Observer) error {
+func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, parallel int, checked, dense, nopool bool, shards int, ob *obs.Observer) error {
 	spec, err := scenario.ParseFile(path)
 	if err != nil {
 		return err
@@ -229,16 +227,14 @@ func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int
 		return err
 	}
 	opt := experiments.Options{
-		Seeds:        []int64{seed},
-		Parallelism:  parallel,
-		Check:        checked,
-		Dense:        dense,
-		NoPool:       nopool,
-		NoColumnar:   nocolumnar,
-		ElidePayload: elide,
-		Shards:       shards,
-		System:       config.DefaultWithMesh(mesh),
-		Obs:          ob,
+		Seeds:       []int64{seed},
+		Parallelism: parallel,
+		Check:       checked,
+		Dense:       dense,
+		NoPool:      nopool,
+		Shards:      shards,
+		System:      config.DefaultWithMesh(mesh),
+		Obs:         ob,
 	}
 	rs, err := experiments.Scenario(kinds, spec, opt)
 	if err != nil {
@@ -253,17 +249,17 @@ func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int
 func parseMesh(s string) (topology.Mesh, error) {
 	var w, h int
 	if _, err := fmt.Sscanf(s, "%dx%d", &w, &h); err != nil || w < 2 || h < 2 {
-		return topology.Mesh{}, fmt.Errorf("afcsim: bad mesh %q (want WxH, each >= 2)", s)
+		return topology.Mesh{}, fmt.Errorf("bad mesh %q (want WxH, each >= 2)", s)
 	}
 	return topology.NewMesh(w, h), nil
 }
 
 // runOne executes one bench/kind cell and writes its report rows to w
 // (a per-cell buffer under parallel execution, so rows never interleave).
-func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol router.DeflectPolicy, realVCA bool, seed int64, warmup, tx, limit uint64, recordTo string, checked, dense, nopool, nocolumnar, elide bool, shards int, ob *obs.Observer) error {
+func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol router.DeflectPolicy, realVCA bool, seed int64, warmup, tx, limit uint64, recordTo string, checked, dense, nopool bool, shards int, ob *obs.Observer) error {
 	sys := config.DefaultWithMesh(mesh)
 	sys.Baseline.RealisticVCA = realVCA
-	net := network.New(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true, Policy: pol, DenseKernel: dense, NoPool: nopool, NoColumnar: nocolumnar, ElidePayload: elide, Shards: shards})
+	net := network.New(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true, Policy: pol, DenseKernel: dense, NoPool: nopool, Shards: shards})
 	defer net.Close()
 	if checked {
 		check.Attach(net)
@@ -307,18 +303,18 @@ func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol r
 
 // replayOne feeds a recorded trace open-loop into a fresh network of the
 // given kind and reports the trace-driven (no-feedback) metrics.
-func replayOne(path string, k network.Kind, seed int64, checked, dense, nopool, nocolumnar, elide bool, shards int, ob *obs.Observer) error {
+func replayOne(path string, k network.Kind, seed int64, checked, dense, nopool bool, shards int, ob *obs.Observer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	tr, err := trace.Read(f)
+	net := network.New(network.Config{Kind: k, Seed: seed, MeterEnergy: true, DenseKernel: dense, NoPool: nopool, Shards: shards})
+	defer net.Close()
+	tr, err := trace.Read(f, net.Nodes())
 	if err != nil {
 		return err
 	}
-	net := network.New(network.Config{Kind: k, Seed: seed, MeterEnergy: true, DenseKernel: dense, NoPool: nopool, NoColumnar: nocolumnar, ElidePayload: elide, Shards: shards})
-	defer net.Close()
 	if checked {
 		check.Attach(net)
 	}

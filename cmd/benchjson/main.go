@@ -18,7 +18,6 @@
 //
 //	benchjson                    # measure, write BENCH_<n>.json (next free n)
 //	benchjson -dense             # measure the dense reference kernel
-//	benchjson -nocolumnar        # measure the struct-field reference path
 //	benchjson -o my.json         # explicit output path
 //	benchjson -smoke             # reduced run compared vs the newest
 //	                             # BENCH_*.json (CI bench-smoke gate)
@@ -44,8 +43,9 @@
 // full runs only — smoke runs skip the cell for CI speed;
 // afcnet-bench/v5 adds the 64x64 kernel pair (kernelStep64x64NsPerOp /
 // kernelStep64x64ShardedNsPerOp — the kilonode record, also full-run
-// only) and the payloadElision flag recording whether the arena's
-// payload column was elided for the measurement (-elidepayload).
+// only). Snapshots up to BENCH_7 also carry noColumnar and
+// payloadElision flags from run modes that no longer exist; the decoder
+// ignores them.
 // bench-smoke reads v1 through v4 snapshots backward-compatibly —
 // metrics an older baseline lacks are skipped. The sharded ratios are
 // judged on both ends of the machine-width spectrum: hosts with at
@@ -92,17 +92,11 @@ type Snapshot struct {
 	GoVersion string `json:"goVersion"`
 	// Cores/MaxProcs (schema v3) record the machine width the snapshot
 	// was taken on: the sharded kernel number is a function of it.
-	Cores      int  `json:"cores,omitempty"`
-	MaxProcs   int  `json:"maxProcs,omitempty"`
-	Dense      bool `json:"denseKernel"`
-	NoPool     bool `json:"noPool"`
-	NoColumnar bool `json:"noColumnar"`
-	// ElidePayload (schema v5) records whether the arena's payload
-	// column was elided for the measurement (-elidepayload): results are
-	// bit-identical either way, but the per-row memory differs, so the
-	// flag keeps snapshots comparable.
-	ElidePayload bool `json:"payloadElision,omitempty"`
-	Runs         int  `json:"runs"`
+	Cores    int  `json:"cores,omitempty"`
+	MaxProcs int  `json:"maxProcs,omitempty"`
+	Dense    bool `json:"denseKernel"`
+	NoPool   bool `json:"noPool"`
+	Runs     int  `json:"runs"`
 
 	Kernel struct {
 		StepNsPerOp            float64 `json:"stepNsPerOp"`
@@ -166,26 +160,24 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
 	var (
-		dense      = flag.Bool("dense", network.DenseFromEnv(), "measure the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1)")
-		nopool     = flag.Bool("nopool", network.NoPoolFromEnv(), "measure with heap-allocated flits instead of arena pooling (or set AFCSIM_NOPOOL=1)")
-		nocolumnar = flag.Bool("nocolumnar", network.NoColumnarFromEnv(), "measure the struct-field reference path instead of the columnar flit banks (or set AFCSIM_NOCOLUMNAR=1)")
-		elide      = flag.Bool("elidepayload", false, "measure with the arena's payload column elided (bit-identical results, smaller rows)")
-		out        = flag.String("o", "", "output path (default: next free BENCH_<n>.json in the current directory)")
-		runs       = flag.Int("runs", 5, "repetitions per wall-time cell; the minimum is recorded")
-		label      = flag.String("label", "", "free-text label recorded in the snapshot")
-		smoke      = flag.Bool("smoke", false, "reduced measurement compared warn-only against -baseline; writes no file")
-		baseline   = flag.String("baseline", "", "baseline snapshot for -smoke (default: the highest-numbered BENCH_*.json)")
+		dense    = flag.Bool("dense", network.DenseFromEnv(), "measure the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1)")
+		nopool   = flag.Bool("nopool", network.NoPoolFromEnv(), "measure with heap-allocated flits instead of arena pooling (or set AFCSIM_NOPOOL=1)")
+		out      = flag.String("o", "", "output path (default: next free BENCH_<n>.json in the current directory)")
+		runs     = flag.Int("runs", 5, "repetitions per wall-time cell; the minimum is recorded")
+		label    = flag.String("label", "", "free-text label recorded in the snapshot")
+		smoke    = flag.Bool("smoke", false, "reduced measurement compared warn-only against -baseline; writes no file")
+		baseline = flag.String("baseline", "", "baseline snapshot for -smoke (default: the highest-numbered BENCH_*.json)")
 	)
 	flag.Parse()
 
 	if *smoke {
-		if err := runSmoke(*dense, *nopool, *nocolumnar, *elide, *baseline); err != nil {
+		if err := runSmoke(*dense, *nopool, *baseline); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	snap := measure(*dense, *nopool, *nocolumnar, *elide, *runs, *label, false)
+	snap := measure(*dense, *nopool, *runs, *label, false)
 	path := *out
 	if path == "" {
 		path = nextBenchPath(".")
@@ -202,7 +194,7 @@ func main() {
 
 // measure runs the benchmark suite. In smoke mode the wall cells drop to
 // the single low-load cell and fewer repetitions, so CI stays fast.
-func measure(dense, nopool, nocolumnar, elide bool, runs int, label string, smoke bool) Snapshot {
+func measure(dense, nopool bool, runs int, label string, smoke bool) Snapshot {
 	var s Snapshot
 	s.Schema = "afcnet-bench/v5"
 	s.Label = label
@@ -211,8 +203,6 @@ func measure(dense, nopool, nocolumnar, elide bool, runs int, label string, smok
 	s.MaxProcs = runtime.GOMAXPROCS(0)
 	s.Dense = dense
 	s.NoPool = nopool
-	s.NoColumnar = nocolumnar
-	s.ElidePayload = elide
 	s.Runs = runs
 
 	// Kernel cells are recorded as the fastest of three repetitions —
@@ -224,38 +214,38 @@ func measure(dense, nopool, nocolumnar, elide bool, runs int, label string, smok
 	if smoke {
 		reps = 1
 	}
-	r := benchMin(reps, func(b *testing.B) { benchStep(b, 0.3, 3, 1000, 0, dense, nopool, nocolumnar, elide) })
+	r := benchMin(reps, func(b *testing.B) { benchStep(b, 0.3, 3, 1000, 0, dense, nopool) })
 	s.Kernel.StepNsPerOp = float64(r.NsPerOp())
 	s.Kernel.StepAllocsPerOp = float64(r.AllocsPerOp())
-	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 3, 1000, 0, dense, nopool, nocolumnar, elide) })
+	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 3, 1000, 0, dense, nopool) })
 	s.Kernel.StepLowLoadNsPerOp = float64(r.NsPerOp())
 	s.Kernel.StepLowLoadAllocsPerOp = float64(r.AllocsPerOp())
 	// Large-radix cell: 16x16 under sub-saturation uniform load (0.3
 	// would sit past the bisection limit of the bigger mesh, where queues
 	// and allocations grow without bound; see BenchmarkKernelStep16x16).
-	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.08, 16, 5000, 0, dense, nopool, nocolumnar, elide) })
+	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.08, 16, 5000, 0, dense, nopool) })
 	s.Kernel.Step16x16NsPerOp = float64(r.NsPerOp())
 	s.Kernel.Step16x16AllocsPerOp = float64(r.AllocsPerOp())
 	// The same cell through the sharded tick, eight two-row bands
 	// (see BenchmarkKernelStep16x16Sharded).
 	s.Kernel.Shards = 8
-	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.08, 16, 5000, s.Kernel.Shards, dense, nopool, nocolumnar, elide) })
+	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.08, 16, 5000, s.Kernel.Shards, dense, nopool) })
 	s.Kernel.Step16x16ShardedNsPerOp = float64(r.NsPerOp())
 	s.Kernel.Step16x16ShardedAllocsPerOp = float64(r.AllocsPerOp())
 	// The 32x32 and 64x64 pairs are full-run records only: the cells
 	// need long warmups (the meshes take thousands of cycles to fill)
 	// and smoke runs gate on the cheaper 16x16 pair instead.
 	if !smoke {
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.04, 32, 8000, 0, dense, nopool, nocolumnar, elide) })
+		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.04, 32, 8000, 0, dense, nopool) })
 		s.Kernel.Step32x32NsPerOp = float64(r.NsPerOp())
 		s.Kernel.Step32x32AllocsPerOp = float64(r.AllocsPerOp())
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.04, 32, 8000, s.Kernel.Shards, dense, nopool, nocolumnar, elide) })
+		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.04, 32, 8000, s.Kernel.Shards, dense, nopool) })
 		s.Kernel.Step32x32ShardedNsPerOp = float64(r.NsPerOp())
 		s.Kernel.Step32x32ShardedAllocsPerOp = float64(r.AllocsPerOp())
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 64, 16000, 0, dense, nopool, nocolumnar, elide) })
+		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 64, 16000, 0, dense, nopool) })
 		s.Kernel.Step64x64NsPerOp = float64(r.NsPerOp())
 		s.Kernel.Step64x64AllocsPerOp = float64(r.AllocsPerOp())
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 64, 16000, s.Kernel.Shards, dense, nopool, nocolumnar, elide) })
+		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 64, 16000, s.Kernel.Shards, dense, nopool) })
 		s.Kernel.Step64x64ShardedNsPerOp = float64(r.NsPerOp())
 		s.Kernel.Step64x64ShardedAllocsPerOp = float64(r.AllocsPerOp())
 	}
@@ -275,7 +265,6 @@ func measure(dense, nopool, nocolumnar, elide bool, runs int, label string, smok
 	opt.Parallelism = 1 // wall times must not depend on machine width
 	opt.Dense = dense
 	opt.NoPool = nopool
-	opt.NoColumnar = nocolumnar
 	s.Cells.LowLoadCellWallSecs, s.Cells.LowLoadCellTotalAllocBytes = minWall(runs, func() {
 		mustClosedLoop(cmp.LowLoad()[:1], opt)
 	})
@@ -310,12 +299,11 @@ func benchMin(reps int, f func(b *testing.B)) testing.BenchmarkResult {
 // benchStep is the cmd-side mirror of BenchmarkKernelStep /
 // BenchmarkKernelStep16x16 in bench_test.go (test files cannot be
 // imported from a command).
-func benchStep(b *testing.B, rate float64, side, warmup, shards int, dense, nopool, nocolumnar, elide bool) {
+func benchStep(b *testing.B, rate float64, side, warmup, shards int, dense, nopool bool) {
 	net := network.New(network.Config{
 		Kind: network.AFC, Seed: 1, MeterEnergy: true,
 		System:      config.DefaultWithMesh(topology.NewMesh(side, side)),
-		DenseKernel: dense, NoPool: nopool, NoColumnar: nocolumnar, Shards: shards,
-		ElidePayload: elide,
+		DenseKernel: dense, NoPool: nopool, Shards: shards,
 	})
 	defer net.Close()
 	gen := traffic.NewGenerator(net, traffic.Config{
@@ -360,9 +348,10 @@ func minWall(n int, f func()) (float64, uint64) {
 }
 
 // knownSchemas lists every snapshot schema bench-smoke can read, oldest
-// first. Fields are only ever added, so one decoder reads them all; the
-// list exists to reject a snapshot from a future schema loudly instead
-// of silently zero-filling the metrics it doesn't know about.
+// first. Metrics are only ever added and unknown keys are ignored, so
+// one decoder reads them all; the list exists to reject a snapshot from
+// a future schema loudly instead of silently zero-filling the metrics it
+// doesn't know about.
 var knownSchemas = []string{
 	"afcnet-bench/v1",
 	"afcnet-bench/v2",
@@ -431,7 +420,7 @@ func benchFiles(dir string) []string {
 // it is the repo's headline perf number, and the generous ratio absorbs
 // shared-machine noise. v1 baselines (no 16x16 field) are read
 // backward-compatibly: metrics they lack are skipped.
-func runSmoke(dense, nopool, nocolumnar, elide bool, baselinePath string) error {
+func runSmoke(dense, nopool bool, baselinePath string) error {
 	if baselinePath == "" {
 		files := benchFiles(".")
 		if len(files) == 0 {
@@ -440,7 +429,7 @@ func runSmoke(dense, nopool, nocolumnar, elide bool, baselinePath string) error 
 			baselinePath = files[len(files)-1]
 		}
 	}
-	cur := measure(dense, nopool, nocolumnar, elide, 2, "", true)
+	cur := measure(dense, nopool, 2, "", true)
 
 	if baselinePath == "" {
 		fmt.Printf("kernel step: %.0f ns/op (%.0f allocs); low load: %.0f ns/op; low-load cell: %.3fs\n",

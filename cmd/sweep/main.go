@@ -70,27 +70,25 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
 	var (
-		kindList   = flag.String("kinds", "backpressured,backpressureless,drop,afc", "comma-separated router kinds")
-		pattern    = flag.String("pattern", "uniform", "traffic pattern: uniform|transpose|bitcomp|neighbor|hotspot")
-		scenarioF  = flag.String("scenario", "", "instead of a rate sweep, run the JSON scenario spec at this path and report per-phase completion-time percentiles")
-		minRate    = flag.Float64("min", 0.05, "minimum offered load (flits/node/cycle)")
-		maxRate    = flag.Float64("max", 0.60, "maximum offered load")
-		step       = flag.Float64("step", 0.05, "offered-load step")
-		seeds      = flag.Int("seeds", 2, "repeated runs per point")
-		warmup     = flag.Uint64("warmup", 10_000, "warmup cycles")
-		measure    = flag.Uint64("measure", 30_000, "measurement cycles")
-		parallel   = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked    = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker to every run (or set AFCSIM_CHECK=1); identical results, slower")
-		dense      = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
-		nopool     = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
-		nocolumnar = flag.Bool("nocolumnar", network.NoColumnarFromEnv(), "read per-flit state from struct fields instead of the columnar banks (or set AFCSIM_NOCOLUMNAR=1); identical results")
-		elide      = flag.Bool("elidepayload", network.ElidePayloadFromEnv(), "drop the arena's payload column (or set AFCSIM_ELIDEPAYLOAD=1); identical results, smaller columnar rows")
-		shards     = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest   = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress   = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		kindList  = flag.String("kinds", "backpressured,backpressureless,drop,afc", "comma-separated router kinds")
+		pattern   = flag.String("pattern", "uniform", "traffic pattern: uniform|transpose|bitcomp|neighbor|hotspot")
+		scenarioF = flag.String("scenario", "", "instead of a rate sweep, run the JSON scenario spec at this path and report per-phase completion-time percentiles")
+		minRate   = flag.Float64("min", 0.05, "minimum offered load (flits/node/cycle)")
+		maxRate   = flag.Float64("max", 0.60, "maximum offered load")
+		step      = flag.Float64("step", 0.05, "offered-load step")
+		seeds     = flag.Int("seeds", 2, "repeated runs per point")
+		warmup    = flag.Uint64("warmup", 10_000, "warmup cycles")
+		measure   = flag.Uint64("measure", 30_000, "measurement cycles")
+		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
+		checked   = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker to every run (or set AFCSIM_CHECK=1); identical results, slower")
+		dense     = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
+		nopool    = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
+		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
+		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
+		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
@@ -131,8 +129,6 @@ func main() {
 	opt.Check = *checked
 	opt.Dense = *dense
 	opt.NoPool = *nopool
-	opt.NoColumnar = *nocolumnar
-	opt.ElidePayload = *elide
 	opt.Shards = *shards
 
 	kindNames := make([]string, len(kinds))

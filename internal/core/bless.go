@@ -39,10 +39,10 @@ func (r *Router) blessCycle(now uint64) {
 		}
 		taken[a.Dir] = true
 		if a.Deflected {
-			f.BumpDeflections()
+			f.Deflections++
 			r.deflections++
 		}
-		if r.misrouteThreshold > 0 && r.cols.FlitDeflections(f) >= r.misrouteThreshold {
+		if r.misrouteThreshold > 0 && f.Deflections >= r.misrouteThreshold {
 			r.misrouteTripped = true
 		}
 		r.blessSend(now, a.Dir, f)
@@ -64,7 +64,7 @@ func (r *Router) eject(now uint64, f *flit.Flit) {
 
 func (r *Router) blessSend(now uint64, d topology.Dir, f *flit.Flit) {
 	if ds := &r.down[d]; ds.tracking {
-		vn := r.vnOf(f)
+		vn := f.VN
 		ds.credits[vn]--
 		if ds.credits[vn] == r.cfg.GossipFreeSlots-1 {
 			r.gossipLow++
@@ -130,7 +130,7 @@ func (r *Router) blessInject(now uint64, taken *[topology.NumDirs]bool) {
 		// buffer write of the backpressured datapath.
 		entered := r.injArmedAt[vn] - 1
 		r.injArmedAt[vn] = now + 1
-		r.stamp(entered, f)
+		f.InjectedAt = entered
 		r.injectedFlits++
 
 		one := []*flit.Flit{f}
@@ -142,7 +142,7 @@ func (r *Router) blessInject(now uint64, taken *[topology.NumDirs]bool) {
 		}
 		taken[a.Dir] = true
 		if a.Deflected {
-			f.BumpDeflections()
+			f.Deflections++
 			r.deflections++
 		}
 		r.blessSend(now, a.Dir, f)

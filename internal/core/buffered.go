@@ -39,7 +39,7 @@ func (r *Router) bufferedCycle(now uint64) {
 		}
 		if e := r.esc[p]; len(e) > 0 && e[0].readyAt <= now {
 			f := e[0].f
-			out := r.dor[r.dstOf(f)]
+			out := r.dor[f.Dst]
 			if out == topology.Local || r.usableOut(f, out) {
 				r.cands[p] = cand{valid: true, escape: true, out: out}
 				wantOut[out] = true
@@ -53,7 +53,7 @@ func (r *Router) bufferedCycle(now uint64) {
 			if sl.f == nil || sl.readyAt > now {
 				return false
 			}
-			out := r.dor[r.dstOf(sl.f)]
+			out := r.dor[sl.f.Dst]
 			return out == topology.Local || r.usableOut(sl.f, out)
 		}
 		var pick int
@@ -67,7 +67,7 @@ func (r *Router) bufferedCycle(now uint64) {
 		}
 		if pick >= 0 {
 			f := r.in[p][pick].f
-			out := r.dor[r.dstOf(f)]
+			out := r.dor[f.Dst]
 			r.cands[p] = cand{valid: true, slot: pick, out: out}
 			wantOut[out] = true
 		}
@@ -122,7 +122,7 @@ func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
 		}
 		if in != topology.Local && !r.deadOut[in] {
 			if pl := r.wires.Ports[in]; pl.CreditOut != nil {
-				pl.CreditOut.Send(now, link.Credit{VC: c.slot, VN: r.vnOf(f)})
+				pl.CreditOut.Send(now, link.Credit{VC: c.slot, VN: f.VN})
 				if r.meter != nil {
 					r.meter.Credit()
 				}
@@ -142,7 +142,7 @@ func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
 		return
 	}
 	if ds := &r.down[out]; ds.tracking {
-		vn := r.vnOf(f)
+		vn := f.VN
 		ds.credits[vn]--
 		if ds.credits[vn] == r.cfg.GossipFreeSlots-1 {
 			r.gossipLow++
@@ -179,7 +179,7 @@ func (r *Router) bufferedInject(now uint64) {
 			continue
 		}
 		f = r.src.Pop(vn)
-		r.stamp(now, f)
+		f.InjectedAt = now
 		r.injectedFlits++
 		f.VC = s
 		r.in[topology.Local][s] = slot{f: f, readyAt: now + 1}

@@ -223,12 +223,7 @@ type Router struct {
 	// control pipes all exist exactly there), so the per-cycle receive
 	// loops skip the empty ports of edge and corner routers. Shared
 	// storage under slab construction, like dor.
-	nbr []topology.Dir
-	// cols, when non-nil, is the arena's columnar flit bank; the datapath
-	// reads hot per-flit state (destination, virtual network, deflection
-	// count) through it. Nil is the -nocolumnar struct-field reference
-	// path — the accessors fall back themselves.
-	cols  *flit.Columns
+	nbr   []topology.Dir
 	wires router.Wires
 	src   router.LocalSource
 	sink  router.LocalSink
@@ -819,16 +814,6 @@ func (r *Router) receiveCredits(now uint64) {
 	}
 }
 
-// SetColumns attaches the columnar flit banks the router reads hot
-// per-flit state through. Nil selects the struct-field reference path.
-func (r *Router) SetColumns(c *flit.Columns) {
-	r.cols = c
-	r.defl.SetColumns(c)
-}
-
-func (r *Router) dstOf(f *flit.Flit) topology.NodeID { return r.cols.FlitDst(f) }
-func (r *Router) vnOf(f *flit.Flit) flit.VN          { return r.cols.FlitVN(f) }
-
 // usableOut reports whether output d can carry f this cycle, ignoring
 // same-cycle port contention (the caller masks taken ports).
 func (r *Router) usableOut(f *flit.Flit, d topology.Dir) bool {
@@ -836,7 +821,7 @@ func (r *Router) usableOut(f *flit.Flit, d topology.Dir) bool {
 		return false
 	}
 	ds := &r.down[d]
-	return !ds.tracking || ds.credits[r.vnOf(f)] > 0
+	return !ds.tracking || ds.credits[f.VN] > 0
 }
 
 // receive accepts this cycle's link arrivals: into buffer slots when the
@@ -860,7 +845,7 @@ func (r *Router) receive(now uint64) {
 			continue
 		}
 		if buffered {
-			s := r.freeSlot(d, r.vnOf(f))
+			s := r.freeSlot(d, f.VN)
 			if s < 0 {
 				panic(fmt.Sprintf("afc %d: buffer overflow on %s vn %s (flit %v)", r.node, d, f.VN, f))
 			}
@@ -879,15 +864,5 @@ func (r *Router) receive(now uint64) {
 				r.meter.Latch()
 			}
 		}
-	}
-}
-
-func (r *Router) stamp(now uint64, f *flit.Flit) {
-	if st, ok := r.src.(interface {
-		StampInjection(uint64, *flit.Flit)
-	}); ok {
-		st.StampInjection(now, f)
-	} else {
-		f.SetInjected(now)
 	}
 }

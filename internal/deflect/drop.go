@@ -42,9 +42,6 @@ type DropRouter struct {
 	// --- active-tick working set ---
 
 	rng *rand.Rand
-	// cols, when non-nil, is the columnar flit bank destinations are read
-	// through (nil = struct reference path).
-	cols *flit.Columns
 	// ashard, on sharded networks, is the shard-local arena magazine
 	// dropped flits retire through (drop retirement is the one recycle
 	// site outside the NI). Nil keeps the serial flit.Recycle path.
@@ -153,10 +150,6 @@ func (r *DropRouter) NeighborDirs() []topology.Dir { return r.nbr }
 
 // Node implements router.Router.
 func (r *DropRouter) Node() topology.NodeID { return r.node }
-
-// SetColumns attaches the columnar flit banks destinations are read
-// through. Nil selects the struct-field reference path.
-func (r *DropRouter) SetColumns(c *flit.Columns) { r.cols = c }
 
 // SetArenaShard routes drop-retirement recycling through a shard-local
 // arena magazine (see flit.ArenaShard). The network sets it when
@@ -285,7 +278,7 @@ func (r *DropRouter) Tick(now uint64) {
 			panic(fmt.Sprintf("deflect(drop) %d: latch holds current-cycle flit", r.node))
 		}
 		f := l.f
-		if r.cols.FlitDst(f) == r.node && ejectSlots > 0 {
+		if f.Dst == r.node && ejectSlots > 0 {
 			ejectSlots--
 			r.routedFlits++
 			r.ejectedFlits++
@@ -319,7 +312,7 @@ func (r *DropRouter) Tick(now uint64) {
 }
 
 func (r *DropRouter) productiveFree(f *flit.Flit, taken *[topology.NumDirs]bool) (topology.Dir, bool) {
-	dst := r.cols.FlitDst(f)
+	dst := f.Dst
 	if dst == r.node {
 		return 0, false // ejection port busy; dst flits cannot be misrouted here
 	}
@@ -378,13 +371,7 @@ func (r *DropRouter) inject(now uint64, taken *[topology.NumDirs]bool) {
 		f = r.src.Pop(vn)
 		entered := r.injArmedAt[vn] - 1
 		r.injArmedAt[vn] = now + 1
-		if st, ok := r.src.(interface {
-			StampInjection(uint64, *flit.Flit)
-		}); ok {
-			st.StampInjection(entered, f)
-		} else {
-			f.SetInjected(entered)
-		}
+		f.InjectedAt = entered
 		taken[d] = true
 		r.send(now, d, f)
 	}

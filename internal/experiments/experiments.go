@@ -62,16 +62,6 @@ type Options struct {
 	// either way; the flag exists for equivalence tests and allocation
 	// baselines.
 	NoPool bool
-	// NoColumnar builds every network without the columnar flit banks
-	// (network.Config.NoColumnar): routers and NIs read per-flit state
-	// from the struct fields, as the original reference path did. Results
-	// are bit-for-bit identical either way; the flag exists for
-	// equivalence tests.
-	NoColumnar bool
-	// ElidePayload drops the payload column from the columnar banks
-	// (network.Config.ElidePayload). Results are bit-for-bit identical
-	// either way; the flag exists for the elision equivalence gate.
-	ElidePayload bool
 	// System overrides the machine configuration (mesh size, buffer
 	// depths, …) for every network the harnesses build; the zero value
 	// keeps config.Default(). A cell that sets its own System wins.
@@ -94,8 +84,6 @@ func (o Options) newNetwork(cfg network.Config) *network.Network {
 	}
 	cfg.DenseKernel = cfg.DenseKernel || o.Dense
 	cfg.NoPool = cfg.NoPool || o.NoPool
-	cfg.NoColumnar = cfg.NoColumnar || o.NoColumnar
-	cfg.ElidePayload = cfg.ElidePayload || o.ElidePayload
 	if cfg.Shards <= 1 {
 		cfg.Shards = o.Shards
 	}
@@ -158,8 +146,6 @@ func (w *workerState) acquire(cfg network.Config) *workerEnt {
 	}
 	cfg.DenseKernel = cfg.DenseKernel || w.opt.Dense
 	cfg.NoPool = cfg.NoPool || w.opt.NoPool
-	cfg.NoColumnar = cfg.NoColumnar || w.opt.NoColumnar
-	cfg.ElidePayload = cfg.ElidePayload || w.opt.ElidePayload
 	if cfg.Shards <= 1 {
 		cfg.Shards = w.opt.Shards
 	}

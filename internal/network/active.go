@@ -31,30 +31,6 @@ func NoPoolFromEnv() bool {
 	return envSet(NoPoolEnvVar)
 }
 
-// NoColumnarEnvVar forces struct-field flit reads (no columnar banks) in
-// every harness that consults NoColumnarFromEnv (cmd/afcsim,
-// cmd/figures, cmd/sweep, cmd/benchjson).
-const NoColumnarEnvVar = "AFCSIM_NOCOLUMNAR"
-
-// NoColumnarFromEnv reports whether AFCSIM_NOCOLUMNAR requests the
-// struct-field reference path. Any value other than empty, "0", "false",
-// "no" or "off" disables the columnar flit banks.
-func NoColumnarFromEnv() bool {
-	return envSet(NoColumnarEnvVar)
-}
-
-// ElidePayloadEnvVar drops the arena's payload column in every harness
-// that consults ElidePayloadFromEnv (cmd/afcsim, cmd/figures,
-// cmd/sweep, cmd/benchjson).
-const ElidePayloadEnvVar = "AFCSIM_ELIDEPAYLOAD"
-
-// ElidePayloadFromEnv reports whether AFCSIM_ELIDEPAYLOAD requests
-// payload-column elision. Any value other than empty, "0", "false",
-// "no" or "off" drops the column; results are bit-for-bit identical.
-func ElidePayloadFromEnv() bool {
-	return envSet(ElidePayloadEnvVar)
-}
-
 // ShardsEnvVar sets the default shard count of the sharded tick in every
 // harness that consults ShardsFromEnv (cmd/afcsim, cmd/figures,
 // cmd/sweep, cmd/benchjson). Values <= 1 (or anything unparseable) keep

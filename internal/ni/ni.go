@@ -87,10 +87,6 @@ type NI struct {
 	// arena, when set, supplies recycled flit blocks for packetization;
 	// nil means plain heap allocation (the -nopool reference path).
 	arena *flit.Arena
-	// cols is the arena's columnar flit bank; delivery gathers a flit's
-	// routing metadata through it. Nil (no arena, or columns disabled)
-	// falls back to the struct fields inside the accessors.
-	cols *flit.Columns
 	// ashard, on sharded networks, is the allocation magazine of the
 	// shard this NI's node belongs to; packetize and recycle go through
 	// it (lock-free shard-local fast path) instead of the serial arena
@@ -195,12 +191,8 @@ func New(node topology.NodeID) *NI {
 func (n *NI) Node() topology.NodeID { return n.node }
 
 // SetArena attaches the flit arena used for packetization. The network
-// sets it at construction; passing nil selects heap allocation. The
-// arena's columnar banks (if enabled) come along for delivery-side reads.
-func (n *NI) SetArena(a *flit.Arena) {
-	n.arena = a
-	n.cols = a.Columns()
-}
+// sets it at construction; passing nil selects heap allocation.
+func (n *NI) SetArena(a *flit.Arena) { n.arena = a }
 
 // SetArenaShard routes this NI's packetize/recycle traffic through a
 // shard-local arena magazine (see flit.ArenaShard). The network sets it
@@ -401,11 +393,6 @@ func (n *NI) Pop(vn flit.VN) *flit.Flit {
 	return f
 }
 
-// StampInjection records the flit's entry into the network. Routers call
-// it at the injection cycle (separate from Pop so tests can pop without
-// injecting).
-func (n *NI) StampInjection(now uint64, f *flit.Flit) { f.SetInjected(now) }
-
 // Deliver implements router.LocalSink: accept an ejected flit, reassemble,
 // and hand completed packets to the handler. Ejection consumes the flit —
 // reassembly retains only packet metadata — so the flit is recycled to
@@ -420,12 +407,9 @@ func (n *NI) Deliver(now uint64, f *flit.Flit) {
 }
 
 func (n *NI) deliver(now uint64, f *flit.Flit) {
-	// Gather the flit's routing metadata up front — through the columnar
-	// banks when the flit has a row there, through the struct otherwise.
-	pid := n.cols.FlitPacketID(f)
-	length := n.cols.FlitLen(f)
-	injectedAt := n.cols.FlitAge(f)
-	if n.cols.FlitDst(f) != n.node {
+	pid := f.PacketID
+	length := f.Len
+	if f.Dst != n.node {
 		panic(fmt.Sprintf("ni: node %d received flit for %d: %v", n.node, f.Dst, f))
 	}
 	n.totalEjected++
@@ -436,30 +420,30 @@ func (n *NI) deliver(now uint64, f *flit.Flit) {
 		}
 	}
 	n.deliveredFlits++
-	n.deflections.Add(uint64(n.cols.FlitDeflections(f)))
+	n.deflections.Add(uint64(f.Deflections))
 	p, ok := n.reassembly[pid]
 	if !ok {
 		p = pending{
-			createdAt:   n.cols.FlitCreatedAt(f),
-			firstInject: injectedAt,
-			src:         n.cols.FlitSrc(f),
-			vn:          n.cols.FlitVN(f),
+			createdAt:   f.CreatedAt,
+			firstInject: f.InjectedAt,
+			src:         f.Src,
+			vn:          f.VN,
 			length:      length,
-			payload:     n.cols.FlitPayload(f),
+			payload:     f.Payload,
 		}
 		if length > 64 {
 			p.gotBig = make([]bool, length)
 		}
 	}
-	if !p.mark(n.cols.FlitSeq(f)) {
+	if !p.mark(f.Seq) {
 		// Duplicate delivery can only happen with retransmission after a
 		// partially-delivered drop; ignore the duplicate flit.
 		n.totalDiscarded++
 		return
 	}
 	p.received++
-	if injectedAt < p.firstInject {
-		p.firstInject = injectedAt
+	if f.InjectedAt < p.firstInject {
+		p.firstInject = f.InjectedAt
 	}
 	if p.received < p.length {
 		n.reassembly[pid] = p

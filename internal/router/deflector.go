@@ -54,10 +54,6 @@ type Deflector struct {
 	node   topology.NodeID
 	policy DeflectPolicy
 	rng    *rand.Rand
-	// cols, when non-nil, is the columnar flit bank the deflector reads
-	// destination, age and sequencing through (nil = struct reference
-	// path; the accessors fall back themselves).
-	cols *flit.Columns
 
 	// routes is node's precomputed route table (per-destination DOR
 	// next hop and productive-direction set).
@@ -100,10 +96,6 @@ func (d *Deflector) DORTable() []topology.Dir { return d.routes.DOR }
 // network reset path).
 func (d *Deflector) Reseed(seed int64) { d.rng.Seed(seed) }
 
-// SetColumns attaches the columnar flit banks the deflector reads hot
-// per-flit state through. Nil selects the struct-field reference path.
-func (d *Deflector) SetColumns(c *flit.Columns) { d.cols = c }
-
 // Assign assigns an output direction to every flit in flits.
 //
 // usable(f, dir) must report whether output dir can carry f this cycle:
@@ -136,13 +128,13 @@ func (d *Deflector) Assign(flits []*flit.Flit, usable func(f *flit.Flit, dir top
 	case PolicyOldest:
 		sort.SliceStable(d.order, func(a, b int) bool {
 			fa, fb := flits[d.order[a]], flits[d.order[b]]
-			if aa, ab := d.cols.FlitAge(fa), d.cols.FlitAge(fb); aa != ab {
+			if aa, ab := fa.InjectedAt, fb.InjectedAt; aa != ab {
 				return aa < ab
 			}
-			if pa, pb := d.cols.FlitPacketID(fa), d.cols.FlitPacketID(fb); pa != pb {
+			if pa, pb := fa.PacketID, fb.PacketID; pa != pb {
 				return pa < pb
 			}
-			return d.cols.FlitSeq(fa) < d.cols.FlitSeq(fb)
+			return fa.Seq < fb.Seq
 		})
 	default: // PolicyRandom
 		d.rng.Shuffle(len(d.order), func(a, b int) {
@@ -164,7 +156,7 @@ func (d *Deflector) assignOne(f *flit.Flit, avail func(*flit.Flit, topology.Dir)
 		return avail(f, dir) && !taken[dir]
 	}
 
-	dst := d.cols.FlitDst(f)
+	dst := f.Dst
 	if dst == d.node {
 		if *ejectSlots > 0 {
 			*ejectSlots--

@@ -156,12 +156,17 @@ func RunWorkers(n int, opt Options, fn func(worker, i int) error) error {
 
 	var (
 		cursor atomic.Int64
-		failed atomic.Bool
-		errMu  sync.Mutex
-		first  error
-		firstI int
-		wg     sync.WaitGroup
+		// failedAt is the lowest failing index so far (n while none).
+		// Only cells past it are skipped: a cell claimed before the
+		// failure but checked after it still runs, so every cell below
+		// the returned error's index executes.
+		failedAt atomic.Int64
+		errMu    sync.Mutex
+		first    error
+		firstI   int
+		wg       sync.WaitGroup
 	)
+	failedAt.Store(int64(n))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -171,17 +176,17 @@ func RunWorkers(n int, opt Options, fn func(worker, i int) error) error {
 				if i >= n {
 					return
 				}
-				if failed.Load() {
-					continue // drain: skip cells claimed after a failure
+				if int64(i) > failedAt.Load() {
+					continue // drain: skip cells past the lowest failure
 				}
 				err := exec(worker, i)
 				if err != nil {
 					errMu.Lock()
 					if first == nil || i < firstI {
 						first, firstI = err, i
+						failedAt.Store(int64(i))
 					}
 					errMu.Unlock()
-					failed.Store(true)
 				}
 			}
 		}(w)

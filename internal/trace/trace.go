@@ -114,8 +114,11 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
+// Read parses a trace written by Write for a network of the given node
+// count. An event whose source or destination lies outside [0, nodes)
+// is rejected with the offending line, so a trace recorded on a larger
+// mesh fails here instead of indexing past the replay network's nodes.
+func Read(r io.Reader, nodes int) (*Trace, error) {
 	tr := &Trace{}
 	sc := bufio.NewScanner(r)
 	line := 0
@@ -136,6 +139,11 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		if e.Len < 1 {
 			return nil, fmt.Errorf("trace: line %d: bad length %d", line, e.Len)
+		}
+		for _, n := range []topology.NodeID{e.Src, e.Dst} {
+			if n < 0 || int(n) >= nodes {
+				return nil, fmt.Errorf("trace: line %d: node %d outside [0, %d)", line, n, nodes)
+			}
 		}
 		e.VN = flit.VN(vn)
 		tr.Events = append(tr.Events, e)

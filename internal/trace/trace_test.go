@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"afcnet/internal/cmp"
@@ -47,7 +48,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Read(&buf, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +65,69 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"x y z a b c\n", // not numbers
 	}
 	for _, c := range cases {
-		if _, err := Read(bytes.NewBufferString(c)); err == nil {
+		if _, err := Read(bytes.NewBufferString(c), 9); err == nil {
 			t.Errorf("accepted garbage %q", c)
 		}
 	}
+}
+
+// TestReadRejectsOutOfRangeNodes pins the replay guard: on a 9-node
+// network an event naming node 99 (as destination or source) or a
+// negative node must fail in Read, naming its line, rather than index
+// past the network's nodes once the replay runs.
+func TestReadRejectsOutOfRangeNodes(t *testing.T) {
+	cases := []struct {
+		name, text, want string
+	}{
+		{"dst", "0 0 99 0 1 0\n", "trace: line 1: node 99 outside [0, 9)"},
+		{"src", "0 1 2 0 1 0\n0 99 1 0 1 0\n", "trace: line 2: node 99 outside [0, 9)"},
+		{"negative", "0 -1 2 0 1 0\n", "trace: line 1: node -1 outside [0, 9)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Read(bytes.NewBufferString(tc.text), 9)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Read(%q) error = %v, want %q", tc.text, err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read on a 9-node network. Read must
+// never panic; whatever it accepts must name only nodes, virtual networks
+// and lengths a replay can inject, and must survive a Write/Read round
+// trip unchanged.
+func FuzzRead(f *testing.F) {
+	f.Add([]byte("5 0 8 2 17 42\n2 3 1 0 1 7\n"))
+	f.Add([]byte("0 0 99 0 1 0\n"))
+	f.Add([]byte("0 99 1 0 1 0\n"))
+	f.Add([]byte("\n  \n1 2 3 9 1 0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const nodes = 9
+		tr, err := Read(bytes.NewReader(data), nodes)
+		if err != nil {
+			return
+		}
+		for _, e := range tr.Events {
+			if e.Src < 0 || int(e.Src) >= nodes || e.Dst < 0 || int(e.Dst) >= nodes {
+				t.Fatalf("accepted out-of-range event %+v", e)
+			}
+			if e.VN >= flit.NumVNs || e.Len < 1 {
+				t.Fatalf("accepted malformed event %+v", e)
+			}
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf, nodes)
+		if err != nil {
+			t.Fatalf("re-reading written trace: %v", err)
+		}
+		if !reflect.DeepEqual(back.Events, tr.Events) {
+			t.Fatalf("round trip changed events: %+v -> %+v", tr.Events, back.Events)
+		}
+	})
 }
 
 func TestWindowAndHelpers(t *testing.T) {

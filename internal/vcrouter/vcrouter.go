@@ -106,11 +106,6 @@ type Router struct {
 
 	cands [topology.NumPorts]candidate
 
-	// cols, when non-nil, is the arena's columnar flit bank; route
-	// computation and credit bookkeeping read destination and virtual
-	// network through it (nil = -nocolumnar struct reference path).
-	cols *flit.Columns
-
 	// nbr lists the directions with a wired neighbor, so the per-cycle
 	// receive loops skip the empty ports of edge and corner routers.
 	// A view into the network's shared topology.Tables under slab
@@ -271,10 +266,6 @@ func (r *Router) NeighborDirs() []topology.Dir { return r.nbr }
 // Node implements router.Router.
 func (r *Router) Node() topology.NodeID { return r.node }
 
-// SetColumns attaches the columnar flit banks the router reads hot
-// per-flit state through. Nil selects the struct-field reference path.
-func (r *Router) SetColumns(c *flit.Columns) { r.cols = c }
-
 // Reset rewinds the router to its freshly constructed state, keeping
 // every buffer's backing array: VC queues empty, packet state closed,
 // full credits, arbiters at slot 0, stats zeroed. Part of the cross-cell
@@ -427,11 +418,11 @@ func (r *Router) eligible(now uint64, p topology.Dir, v int) bool {
 			}
 			return !r.blockedOut[vc.route] && r.out[vc.route][vc.ovc].credits > 0
 		}
-		route := r.dor[r.cols.FlitDst(f)]
+		route := r.dor[f.Dst]
 		if route == topology.Local {
 			vc.route = route
 			vc.ovc = flit.NoVC
-			vc.pktOpen = r.cols.FlitLen(f) > 1
+			vc.pktOpen = f.Len > 1
 			return true
 		}
 		if r.blockedOut[route] {
@@ -440,7 +431,7 @@ func (r *Router) eligible(now uint64, p topology.Dir, v int) bool {
 			// remain buffered and countable).
 			return false
 		}
-		ovc := r.allocVC(route, r.cols.FlitVN(f))
+		ovc := r.allocVC(route, f.VN)
 		if ovc == flit.NoVC {
 			return false
 		}
@@ -542,7 +533,7 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 	// wire died: a dead link carries no credits either).
 	if in != topology.Local && !r.deadOut[in] {
 		if pl := r.wires.Ports[in]; pl.CreditOut != nil {
-			pl.CreditOut.Send(now, link.Credit{VC: c.vc, VN: r.cols.FlitVN(f)})
+			pl.CreditOut.Send(now, link.Credit{VC: c.vc, VN: f.VN})
 			if r.meter != nil {
 				r.meter.Credit()
 			}
@@ -608,13 +599,7 @@ func (r *Router) inject(now uint64) {
 			r.injOpen[vn] = false
 		}
 		f.VC = v
-		if st, ok := r.src.(interface {
-			StampInjection(uint64, *flit.Flit)
-		}); ok {
-			st.StampInjection(now, f)
-		} else {
-			f.SetInjected(now)
-		}
+		f.InjectedAt = now
 		vc.q = append(vc.q, entry{f: f, readyAt: now + 1})
 		r.held++
 		r.heldAt[topology.Local]++
