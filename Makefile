@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-equality smoke-16x16 smoke-32x32 smoke-64x64 bench-json bench-smoke fuzz-smoke obs-smoke scenario-smoke cover ci
+.PHONY: build vet test race race-equality smoke-16x16 smoke-32x32 smoke-64x64 bench-json bench-smoke bench-digests fuzz-smoke obs-smoke scenario-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,20 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=Fig2a -benchtime=1x .
 	$(GO) run ./cmd/benchjson -smoke
 
+# The exact-output gate: one second of every perfbench workload at seed
+# 1, each of which must end with `"correct": true` (every cell's result
+# matches its digest pinned in perfbench/digests.go) and `"failed": 0`,
+# then perfbench's own tests. The pinned digests are the only exact-output
+# check for the deflect and drop kinds.
+BENCH_WORKLOADS = paper-closed-3x3 mesh32-uniform scenario-16x16-faults
+
+bench-digests:
+	@for w in $(BENCH_WORKLOADS); do \
+		last=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); print("%s: correct %s, failed %s" % (sys.argv[1], r["correct"], r["failed"])); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' $$w || exit 1; \
+	done
+	cd perfbench && $(GO) test -count=1 .
+
 # Short run of every native fuzz target (~10s each). The corpora under
 # testdata/fuzz (checked in as they grow) replay first, so previously
 # found inputs regress loudly.
@@ -113,4 +127,4 @@ cover:
 	base=$$(cat coverage-baseline.txt); \
 	awk -v t="$$total" -v b="$$base" 'BEGIN { if (t + 0.5 < b) { printf "coverage regressed: %.1f%% < baseline %.1f%%\n", t, b; exit 1 } else { printf "coverage ok: %.1f%% (baseline %.1f%%)\n", t, b } }'
 
-ci: build vet race race-equality smoke-16x16 smoke-64x64 bench-smoke fuzz-smoke obs-smoke scenario-smoke cover
+ci: build vet race race-equality smoke-16x16 smoke-64x64 bench-smoke bench-digests fuzz-smoke obs-smoke scenario-smoke cover

@@ -25,8 +25,12 @@ func (r *Router) blessCycle(now uint64) {
 	}
 	r.latches = r.latches[:0]
 
-	assignments := r.defl.Assign(r.dflits, r.usableOut, r.ejectWidth)
-	var taken [topology.NumDirs]bool
+	// Credits change this cycle only toward outputs a flit is sent on,
+	// which taken masks from then on, so the masks stay exact for the
+	// injection stage too.
+	usable := r.usableMasks()
+	assignments := r.defl.Assign(r.dflits, usable, r.ejectWidth)
+	var taken uint8
 	for i, a := range assignments {
 		f := r.dflits[i]
 		if !a.OK {
@@ -37,7 +41,7 @@ func (r *Router) blessCycle(now uint64) {
 			r.eject(now, f)
 			continue
 		}
-		taken[a.Dir] = true
+		taken |= 1 << a.Dir
 		if a.Deflected {
 			f.Deflections++
 			r.deflections++
@@ -48,12 +52,10 @@ func (r *Router) blessCycle(now uint64) {
 		r.blessSend(now, a.Dir, f)
 	}
 
-	r.blessInject(now, &taken)
+	r.blessInject(now, usable, &taken)
 }
 
 func (r *Router) eject(now uint64, f *flit.Flit) {
-	r.routedFlits++
-	r.ejectedFlits++
 	r.dispatched++
 	if r.meter != nil {
 		r.meter.SwArb()
@@ -73,7 +75,6 @@ func (r *Router) blessSend(now uint64, d topology.Dir, f *flit.Flit) {
 			panic(fmt.Sprintf("afc %d: negative credits toward %s vn %s", r.node, d, vn))
 		}
 	}
-	r.routedFlits++
 	r.dispatched++
 	f.Hops++
 	r.wires.Ports[d].Out.Send(now, f)
@@ -84,69 +85,25 @@ func (r *Router) blessSend(now uint64, d topology.Dir, f *flit.Flit) {
 	}
 }
 
-// armInjection advances vn's injection-stage register (see
-// deflect.Router.armInjection; injected flits must see the same 2-cycle
-// pipeline as network flits).
-func (r *Router) armInjection(now uint64, vn flit.VN) bool {
-	if r.src.Peek(vn) == nil {
-		r.injArmedAt[vn] = 0
-		return false
-	}
-	if r.injArmedAt[vn] == 0 {
-		r.injArmedAt[vn] = now + 1
-	}
-	return now >= r.injArmedAt[vn]
-}
-
 // blessInject admits up to one new flit per virtual network, each needing
 // an output port that is both free and usable for it (injection-port
-// backpressure).
-func (r *Router) blessInject(now uint64, taken *[topology.NumDirs]bool) {
-	start := r.injArb.Next()
-	// Empty NI: every armInjection would peek nil, zero its register and
-	// decline, so zeroing them all and returning is bit-for-bit identical.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
-		r.injArmedAt = [flit.NumVNs]uint64{}
-		return
-	}
-	for i := 0; i < flit.NumVNs; i++ {
-		vn := flit.VN((start + i) % flit.NumVNs)
-		if !r.armInjection(now, vn) {
-			continue
-		}
-		f := r.src.Peek(vn)
-		canRoute := false
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if !taken[d] && r.usableOut(f, d) {
-				canRoute = true
-				break
-			}
-		}
-		if !canRoute {
-			continue
-		}
-		f = r.src.Pop(vn)
-		// Latency accounting starts at injection-register entry, like the
-		// buffer write of the backpressured datapath.
-		entered := r.injArmedAt[vn] - 1
-		r.injArmedAt[vn] = now + 1
-		f.InjectedAt = entered
-		r.injectedFlits++
-
-		one := []*flit.Flit{f}
-		a := r.defl.Assign(one, func(ff *flit.Flit, d topology.Dir) bool {
-			return !taken[d] && r.usableOut(ff, d)
-		}, 0)[0]
+// backpressure). A VN whose head finds no such port is skipped, not the
+// end of injection: another VN's credits may still open a port.
+func (r *Router) blessInject(now uint64, usable [flit.NumVNs]uint8, taken *uint8) {
+	r.inj.Run(now, func(vn flit.VN, head *flit.Flit) bool {
+		a := r.defl.AssignOne(head, usable[head.VN]&^*taken)
 		if !a.OK {
-			panic(fmt.Sprintf("afc %d: injection with no usable port", r.node))
+			return true
 		}
-		taken[a.Dir] = true
+		f := r.inj.Pop(now, vn)
+		*taken |= 1 << a.Dir
 		if a.Deflected {
 			f.Deflections++
 			r.deflections++
 		}
 		r.blessSend(now, a.Dir, f)
-	}
+		return true
+	})
 }
 
 // escapeBuffer parks a flit that found every usable output taken or

@@ -40,7 +40,7 @@ func (r *Router) bufferedCycle(now uint64) {
 		if e := r.esc[p]; len(e) > 0 && e[0].readyAt <= now {
 			f := e[0].f
 			out := r.dor[f.Dst]
-			if out == topology.Local || r.usableOut(f, out) {
+			if out == topology.Local || r.usableOut(f.VN, out) {
 				r.cands[p] = cand{valid: true, escape: true, out: out}
 				wantOut[out] = true
 				continue
@@ -54,7 +54,7 @@ func (r *Router) bufferedCycle(now uint64) {
 				return false
 			}
 			out := r.dor[sl.f.Dst]
-			return out == topology.Local || r.usableOut(sl.f, out)
+			return out == topology.Local || r.usableOut(sl.f.VN, out)
 		}
 		var pick int
 		if r.occValid {
@@ -133,11 +133,9 @@ func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
 		r.meter.SwArb()
 		r.meter.Xbar()
 	}
-	r.routedFlits++
 	r.dispatched++
 
 	if out == topology.Local {
-		r.ejectedFlits++
 		r.sink.Deliver(now, f)
 		return
 	}
@@ -166,7 +164,7 @@ func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
 // every router kind).
 func (r *Router) bufferedInject(now uint64) {
 	// Empty NI: every peek below would return nil.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
+	if r.inj.Idle() {
 		return
 	}
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
@@ -180,7 +178,6 @@ func (r *Router) bufferedInject(now uint64) {
 		}
 		f = r.src.Pop(vn)
 		f.InjectedAt = now
-		r.injectedFlits++
 		f.VC = s
 		r.in[topology.Local][s] = slot{f: f, readyAt: now + 1}
 		r.occ[topology.Local] |= 1 << uint(s)

@@ -166,10 +166,9 @@ type Router struct {
 	monitor stats.IntensityMonitor
 	latches []latched
 	meter   *energy.Meter
-	// srcCount is src when it can report its queue total in O(1).
-	srcCount   router.QueuedCounter
-	injArb     router.RoundRobin
-	injArmedAt [flit.NumVNs]uint64
+	// inj is the backpressureless datapath's injection stage; the
+	// buffered datapath pulls from src directly and leaves it untouched.
+	inj        router.Injector
 	modeCycles [numModes]uint64
 
 	// --- active-tick working set ---
@@ -205,10 +204,11 @@ type Router struct {
 	inArb  [topology.NumPorts]router.RoundRobin
 	outArb [topology.NumPorts]router.RoundRobin
 
-	// blockedOut marks output ports whose data link is fault-blocked
-	// (dead, or throttled closed this duty window): usableOut treats
-	// them like missing links, so routing steers around the fault.
-	blockedOut [topology.NumDirs]bool
+	// wired marks the outputs with a link (bit d = output d). blocked
+	// marks those whose data link is fault-blocked (dead, or throttled
+	// closed this duty window): usableOut treats them like missing
+	// links, so routing steers around the fault.
+	wired, blocked uint8
 	// deadOut marks output ports whose link is permanently dead; unlike
 	// a throttle it also suppresses credit and control sends (a dead
 	// wire carries nothing — the invariant checker excludes such edges).
@@ -245,10 +245,7 @@ type Router struct {
 	totalSlots int
 
 	// Stats
-	routedFlits     uint64
 	deflections     uint64
-	ejectedFlits    uint64
-	injectedFlits   uint64
 	forwardSwitches uint64
 	reverseSwitches uint64
 	gossipSwitches  uint64
@@ -385,8 +382,12 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 		r.inArb[p].Init(r.totalSlots)
 		r.outArb[p].Init(topology.NumPorts)
 	}
-	r.injArb.Init(flit.NumVNs)
-	r.srcCount, _ = src.(router.QueuedCounter)
+	r.inj.Init(src)
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		if wires.Ports[d].Exists() {
+			r.wired |= 1 << d
+		}
+	}
 	if opts.Tables != nil {
 		r.nbr = opts.Tables.Neighbors(node)
 	} else {
@@ -457,8 +458,7 @@ func (r *Router) Reset(seed int64) {
 		r.heldAt[p] = 0
 		r.occ[p] = 0
 	}
-	r.injArb.Reset()
-	r.injArmedAt = [flit.NumVNs]uint64{}
+	r.inj.Reset()
 	r.latches = r.latches[:0]
 	r.dflits = r.dflits[:0]
 	r.dports = r.dports[:0]
@@ -466,16 +466,13 @@ func (r *Router) Reset(seed int64) {
 	r.held = 0
 	r.dispatched = 0
 	r.misrouteTripped = false
-	r.routedFlits = 0
 	r.deflections = 0
-	r.ejectedFlits = 0
-	r.injectedFlits = 0
 	r.modeCycles = [numModes]uint64{}
 	r.forwardSwitches = 0
 	r.reverseSwitches = 0
 	r.gossipSwitches = 0
 	r.escapeEvents = 0
-	r.blockedOut = [topology.NumDirs]bool{}
+	r.blocked = 0
 	r.deadOut = [topology.NumDirs]bool{}
 	r.dead = false
 	if r.alwaysBuffered {
@@ -510,12 +507,18 @@ func (r *Router) Reset(seed int64) {
 // SetPortBlocked marks (or clears) output d as fault-blocked for data:
 // usableOut then treats the link as missing, so flits route around it.
 // Scenario link throttling toggles this at duty-window boundaries.
-func (r *Router) SetPortBlocked(d topology.Dir, blocked bool) { r.blockedOut[d] = blocked }
+func (r *Router) SetPortBlocked(d topology.Dir, blocked bool) {
+	if blocked {
+		r.blocked |= 1 << d
+	} else {
+		r.blocked &^= 1 << d
+	}
+}
 
 // SetPortDead marks output d permanently dead: data is blocked and
 // credit/control notifications stop flowing on the wire.
 func (r *Router) SetPortDead(d topology.Dir) {
-	r.blockedOut[d] = true
+	r.blocked |= 1 << d
 	r.deadOut[d] = true
 }
 
@@ -547,9 +550,6 @@ func (r *Router) EscapeEvents() uint64 { return r.escapeEvents }
 
 // Deflections returns the misroutes issued by this router.
 func (r *Router) Deflections() uint64 { return r.deflections }
-
-// RoutedFlits returns the flits dispatched (sent or ejected).
-func (r *Router) RoutedFlits() uint64 { return r.routedFlits }
 
 // Intensity returns the current smoothed local traffic intensity.
 func (r *Router) Intensity() float64 { return r.monitor.Value() }
@@ -637,24 +637,15 @@ func (r *Router) Quiescent(now uint64) bool {
 			}
 		}
 	}
-	if r.srcCount != nil {
-		return r.srcCount.QueuedFlits() == 0
-	}
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if r.src.Peek(vn) != nil {
-			return false
-		}
-	}
-	return true
+	return r.inj.Idle()
 }
 
 // FastForward applies k skipped idle cycles (sim.Quiescer): static
 // energy, mode duty-cycle accounting, and the intensity monitor's
 // Observe(0) sequence, replayed bit-for-bit. On the backpressureless
-// datapath each idle tick also rotates the injection arbiter by one (its
-// Pick predicate is always true) and zeroes the idle injection registers
-// via armInjection's empty-queue branch; the buffered datapath's
-// injection touches neither.
+// datapath each idle tick also runs an idle injection stage (see
+// router.Injector.FastForward); the buffered datapath's injection does
+// not touch that stage.
 func (r *Router) FastForward(k uint64) {
 	if r.dead {
 		return
@@ -665,8 +656,7 @@ func (r *Router) FastForward(k uint64) {
 	r.modeCycles[r.mode] += k
 	r.monitor.ObserveIdle(k)
 	if r.mode != ModeBuffered {
-		r.injArb.Advance(k)
-		r.injArmedAt = [flit.NumVNs]uint64{}
+		r.inj.FastForward(k)
 	}
 }
 
@@ -814,14 +804,36 @@ func (r *Router) receiveCredits(now uint64) {
 	}
 }
 
-// usableOut reports whether output d can carry f this cycle, ignoring
-// same-cycle port contention (the caller masks taken ports).
-func (r *Router) usableOut(f *flit.Flit, d topology.Dir) bool {
-	if !r.wires.Ports[d].Exists() || r.blockedOut[d] {
+// usableOut reports whether output d can carry a flit of vn this cycle,
+// ignoring same-cycle port contention (the caller masks taken ports).
+func (r *Router) usableOut(vn flit.VN, d topology.Dir) bool {
+	if (r.wired&^r.blocked)&(1<<d) == 0 {
 		return false
 	}
 	ds := &r.down[d]
-	return !ds.tracking || ds.credits[f.VN] > 0
+	return !ds.tracking || ds.credits[vn] > 0
+}
+
+// usableMasks is usableOut over every output and virtual network, as
+// the deflector's per-VN availability masks (bit d = output d).
+func (r *Router) usableMasks() [flit.NumVNs]uint8 {
+	var m [flit.NumVNs]uint8
+	for vn := range m {
+		m[vn] = r.wired &^ r.blocked
+	}
+	if r.trackedDirs == 0 {
+		return m // no credit masks
+	}
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		if ds := &r.down[d]; ds.tracking {
+			for vn := range m {
+				if ds.credits[vn] <= 0 {
+					m[vn] &^= 1 << d
+				}
+			}
+		}
+	}
+	return m
 }
 
 // receive accepts this cycle's link arrivals: into buffer slots when the

@@ -1,4 +1,4 @@
-// Package deflect implements the backpressureless routers of the paper.
+// Package deflect implements the backpressureless router of the paper.
 //
 // Router is the flit-by-flit deflection (hot-potato) router the paper
 // evaluates as "backpressureless": on link contention all but one flit are
@@ -9,10 +9,11 @@
 // livelock-freedom guarantee), with an oldest-first policy available for
 // ablation.
 //
-// DropRouter is the drop-based variant (SCARAB-like): contending flits
-// that cannot take a productive port are dropped and NACKed to the source
-// for retransmission. The paper notes this variant saturates at lower
-// loads than deflection, which the open-loop sweep reproduces.
+// Built with a Nacker, the same router runs the drop-based variant
+// (SCARAB-like): contending flits that cannot take a productive port are
+// dropped and NACKed to the source for retransmission instead of
+// deflected. The paper notes this variant saturates at lower loads than
+// deflection, which the open-loop sweep reproduces.
 //
 // Pipeline (Table I): stage 1 is combined routing + port-priority switch
 // arbitration, stage 2 is switch traversal plus link traversal with the
@@ -32,12 +33,21 @@ import (
 	"afcnet/internal/topology"
 )
 
+// Nacker carries drop notifications back to packet sources. The paper's
+// drop-based designs (e.g. SCARAB) use a dedicated low-cost NACK network
+// with guaranteed delivery; the network layer implements this interface by
+// scheduling a source retransmission after the NACK's flight time.
+type Nacker interface {
+	Nack(now uint64, f *flit.Flit)
+}
+
 type latched struct {
 	f         *flit.Flit
 	arrivedAt uint64
 }
 
-// Router is a backpressureless deflection router for one node.
+// Router is a backpressureless deflection router for one node; with a
+// non-nil Nacker it is the drop-based variant.
 //
 // The field order is a deliberate hot/cold split (see core.Router): the
 // leading fields are what the quiescence probe and FastForward touch
@@ -57,15 +67,7 @@ type Router struct {
 	// replaces Quiescent's pipe scan. Nil falls back to the scan.
 	inbox *[3]int32
 	meter *energy.Meter
-	// srcCount is src when it can report its queue total in O(1).
-	srcCount router.QueuedCounter
-	injArb   router.RoundRobin
-
-	// injArmedAt models the per-VN injection-stage registers: a flit at
-	// the head of a VN's NI queue becomes eligible for port assignment
-	// one cycle after it reaches the head, so injected flits see the same
-	// 2-cycle router pipeline as network flits.
-	injArmedAt [flit.NumVNs]uint64
+	inj   router.Injector
 
 	// --- active-tick working set ---
 
@@ -77,20 +79,26 @@ type Router struct {
 	// topology.Tables under slab construction.
 	nbr []topology.Dir
 
-	// blockedOut marks output ports whose data link is fault-blocked
-	// (dead, or throttled closed this duty window); port assignment
-	// treats them like missing links and deflects around the fault.
-	blockedOut   [topology.NumDirs]bool
-	blockedCount int
+	// wired marks the outputs with a link (bit d = output d). blocked
+	// marks those whose data link is fault-blocked (dead, or throttled
+	// closed this duty window); port assignment treats them like missing
+	// links and deflects around the fault — or, in drop mode, drops and
+	// NACKs a flit whose productive ports all died.
+	wired, blocked uint8
 	// parked counts overflow flits held back by the fault transient
 	// (more latched flits than surviving outputs). While backlog is
 	// draining the no-output condition stays legitimate even after a
-	// throttled link reopens and blockedCount returns to zero.
+	// throttled link reopens and blocked clears.
 	parked int
 
 	wires router.Wires
-	src   router.LocalSource
 	sink  router.LocalSink
+	// nack, non-nil in drop mode, carries drop notifications to sources.
+	nack Nacker
+	// ashard, on sharded networks, is the shard-local arena magazine
+	// dropped flits retire through (drop retirement is the one recycle
+	// site outside the NI). Nil keeps the serial flit.Recycle path.
+	ashard *flit.ArenaShard
 
 	// --- cold config/stats tail ---
 
@@ -99,10 +107,8 @@ type Router struct {
 	ejectWidth int
 
 	// Stats
-	routedFlits  uint64
-	deflections  uint64
-	ejectedFlits uint64
-	injected     uint64
+	deflections uint64
+	dropped     uint64
 }
 
 // Slab is a contiguous bank of deflection routers, carved in ascending
@@ -117,20 +123,21 @@ func NewSlab(count int) *Slab {
 	return &Slab{routers: make([]Router, count)}
 }
 
-// New returns a standalone deflection router at node (a slab of one).
-// rng drives the randomized arbitration policy.
+// New returns a standalone router at node (a slab of one). rng drives
+// the randomized arbitration policy; a non-nil nack selects drop mode.
 func New(mesh topology.Mesh, node topology.NodeID, policy router.DeflectPolicy,
 	ejectWidth int, rng *rand.Rand, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter) *Router {
-	return NewSlab(1).New(mesh, node, policy, ejectWidth, rng, wires, src, sink, meter, nil)
+	sink router.LocalSink, meter *energy.Meter, nack Nacker) *Router {
+	return NewSlab(1).New(mesh, node, policy, ejectWidth, rng, wires, src, sink, meter, nack, nil)
 }
 
 // New carves the next router from the slab and initializes it at node.
-// tables, when non-nil, provides the shared route tables and neighbor
-// lists; nil builds private copies from the mesh.
+// A non-nil nack selects drop mode. tables, when non-nil, provides the
+// shared route tables and neighbor lists; nil builds private copies from
+// the mesh.
 func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, policy router.DeflectPolicy,
 	ejectWidth int, rng *rand.Rand, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter, tables *topology.Tables) *Router {
+	sink router.LocalSink, meter *energy.Meter, nack Nacker, tables *topology.Tables) *Router {
 
 	if s.next >= len(s.routers) {
 		panic("deflect: router slab exhausted")
@@ -139,11 +146,16 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, policy router.Defle
 	r.mesh = mesh
 	r.node = node
 	r.wires = wires
-	r.src = src
 	r.sink = sink
 	r.meter = meter
+	r.nack = nack
 	r.ejectWidth = ejectWidth
-	r.injArb.Init(flit.NumVNs)
+	r.inj.Init(src)
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		if wires.Ports[d].Exists() {
+			r.wired |= 1 << d
+		}
+	}
 	var routes topology.RouteTable
 	if tables != nil {
 		routes = tables.Routes(node)
@@ -157,7 +169,7 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, policy router.Defle
 		}
 	}
 	r.defl.Init(mesh, node, policy, rng, routes)
-	r.srcCount, _ = src.(router.QueuedCounter)
+	r.defl.SetProductiveOnly(nack != nil)
 	s.next++
 	return r
 }
@@ -178,6 +190,11 @@ func (r *Router) NeighborDirs() []topology.Dir { return r.nbr }
 // Node implements router.Router.
 func (r *Router) Node() topology.NodeID { return r.node }
 
+// SetArenaShard routes drop-retirement recycling through a shard-local
+// arena magazine (see flit.ArenaShard). The network sets it when
+// building a sharded tick; nil keeps the serial flit.Recycle path.
+func (r *Router) SetArenaShard(s *flit.ArenaShard) { r.ashard = s }
+
 // Reset rewinds the router to its freshly constructed state (empty
 // latches, arbiters at slot 0, stats zeroed), reseeding the arbitration
 // randomness with seed — the root of the same stream number a fresh
@@ -185,31 +202,25 @@ func (r *Router) Node() topology.NodeID { return r.node }
 // network-reuse path.
 func (r *Router) Reset(seed int64) {
 	r.defl.Reseed(seed)
-	r.injArb.Reset()
+	r.inj.Reset()
 	r.latches = r.latches[:0]
 	r.flits = r.flits[:0]
-	r.injArmedAt = [flit.NumVNs]uint64{}
-	r.blockedOut = [topology.NumDirs]bool{}
-	r.blockedCount = 0
+	r.blocked = 0
 	r.parked = 0
 	r.dead = false
-	r.routedFlits = 0
 	r.deflections = 0
-	r.ejectedFlits = 0
-	r.injected = 0
+	r.dropped = 0
 }
 
 // SetPortBlocked marks (or clears) output d as fault-blocked: port
-// assignment then treats the link as missing and deflects around it.
-// Scenario link throttling toggles this at duty-window boundaries.
+// assignment then treats the link as missing and deflects around it (or
+// drops flits that have no other productive port). Scenario link
+// throttling toggles this at duty-window boundaries.
 func (r *Router) SetPortBlocked(d topology.Dir, blocked bool) {
-	if r.blockedOut[d] != blocked {
-		r.blockedOut[d] = blocked
-		if blocked {
-			r.blockedCount++
-		} else {
-			r.blockedCount--
-		}
+	if blocked {
+		r.blocked |= 1 << d
+	} else {
+		r.blocked &^= 1 << d
 	}
 }
 
@@ -224,15 +235,18 @@ func (r *Router) SetPortDead(d topology.Dir) { r.SetPortBlocked(d, true) }
 // checker's conservation ledger balanced.
 func (r *Router) SetDead() { r.dead = true }
 
-// RoutedFlits returns the number of flits dispatched by this router.
-func (r *Router) RoutedFlits() uint64 { return r.routedFlits }
-
-// Deflections returns the number of misroutes issued by this router.
+// Deflections returns the number of misroutes issued by this router
+// (always zero in drop mode).
 func (r *Router) Deflections() uint64 { return r.deflections }
 
-// Tick implements one cycle: dispatch every latched flit (the defining
-// deflection-router invariant), inject if a port remains, then latch this
-// cycle's arrivals.
+// DroppedFlits returns the number of flits dropped by this router
+// (always zero outside drop mode).
+func (r *Router) DroppedFlits() uint64 { return r.dropped }
+
+// Tick implements one cycle: every latched flit ejects, advances, or —
+// when it loses every productive port — is deflected (or, in drop mode,
+// dropped and NACKed); then the injection stage admits flits while an
+// output remains free; then this cycle's arrivals latch.
 func (r *Router) Tick(now uint64) {
 	if r.dead {
 		return
@@ -252,10 +266,29 @@ func (r *Router) Tick(now uint64) {
 	carried := r.parked
 	r.parked = 0
 
-	assignments := r.defl.Assign(r.flits, r.usable, r.ejectWidth)
-	var taken [topology.NumDirs]bool
-	for i, a := range assignments {
-		f := r.flits[i]
+	// Deflection links carry no credits: every VN sees the same outputs.
+	outs := r.wired &^ r.blocked
+	var usable [flit.NumVNs]uint8
+	for vn := range usable {
+		usable[vn] = outs
+	}
+	assignments := r.defl.Assign(r.flits, usable, r.ejectWidth)
+	order := r.defl.Order()
+	var taken uint8
+	for k := range assignments {
+		// Drop mode dispatches in priority order, which sets the order of
+		// same-cycle NACKs (the NACK heap's tie order); deflect mode
+		// dispatches in latch order, which is the order overflow parks in
+		// and so feeds the next cycle's shuffle.
+		i := k
+		if r.nack != nil {
+			i = order[k]
+		}
+		f, a := r.flits[i], assignments[i]
+		if !a.OK && r.nack != nil {
+			r.drop(now, f)
+			continue
+		}
 		if !a.OK {
 			// Impossible on a healthy mesh (outputs >= latched inputs).
 			// With fault-blocked links the transient after a fault can
@@ -264,7 +297,7 @@ func (r *Router) Tick(now uint64) {
 			// reopens. Park the overflow for next cycle instead of
 			// panicking — the graceful-degradation half of scenario
 			// fault injection.
-			if r.blockedCount > 0 || carried > 0 {
+			if r.blocked != 0 || carried > 0 {
 				r.latches = append(r.latches, latched{f: f, arrivedAt: now})
 				r.parked++
 				continue
@@ -275,7 +308,7 @@ func (r *Router) Tick(now uint64) {
 			r.eject(now, f)
 			continue
 		}
-		taken[a.Dir] = true
+		taken |= 1 << a.Dir
 		if a.Deflected {
 			f.Deflections++
 			r.deflections++
@@ -283,19 +316,13 @@ func (r *Router) Tick(now uint64) {
 		r.send(now, a.Dir, f)
 	}
 
-	r.inject(now, &taken)
+	r.inj.Run(now, func(vn flit.VN, head *flit.Flit) bool {
+		return r.inject(now, vn, head, outs, &taken)
+	})
 	r.receive(now)
 }
 
-// usable reports whether output d can carry a flit: the link must be
-// wired and not fault-blocked.
-func (r *Router) usable(_ *flit.Flit, d topology.Dir) bool {
-	return r.wires.Ports[d].Exists() && !r.blockedOut[d]
-}
-
 func (r *Router) eject(now uint64, f *flit.Flit) {
-	r.routedFlits++
-	r.ejectedFlits++
 	if r.meter != nil {
 		r.meter.SwArb()
 		r.meter.Xbar()
@@ -304,7 +331,6 @@ func (r *Router) eject(now uint64, f *flit.Flit) {
 }
 
 func (r *Router) send(now uint64, d topology.Dir, f *flit.Flit) {
-	r.routedFlits++
 	f.Hops++
 	r.wires.Ports[d].Out.Send(now, f)
 	if r.meter != nil {
@@ -314,71 +340,40 @@ func (r *Router) send(now uint64, d topology.Dir, f *flit.Flit) {
 	}
 }
 
-// inject admits at most one new flit if an output port remains free after
-// the network flits — the only backpressure a backpressureless router
-// exerts.
-
-// armInjection advances vn's injection-stage register and reports whether
-// its head flit may be injected this cycle.
-func (r *Router) armInjection(now uint64, vn flit.VN) bool {
-	if r.src.Peek(vn) == nil {
-		r.injArmedAt[vn] = 0
-		return false
+// drop consumes a flit that lost every productive port (drop mode): the
+// source is NACKed for retransmission. The NACK path retains only the
+// packet description, never the flit itself — the retransmission
+// re-packetizes from scratch — so the flit is recycled here.
+func (r *Router) drop(now uint64, f *flit.Flit) {
+	r.dropped++
+	r.nack.Nack(now, f)
+	if r.ashard != nil {
+		r.ashard.Recycle(f)
+	} else {
+		flit.Recycle(f)
 	}
-	if r.injArmedAt[vn] == 0 {
-		r.injArmedAt[vn] = now + 1
-	}
-	return now >= r.injArmedAt[vn]
 }
-func (r *Router) inject(now uint64, taken *[topology.NumDirs]bool) {
-	// Round-robin over virtual networks for fairness; each VN may inject
-	// one flit per cycle, but every injection still needs a free output
-	// port after the network flits (footnote 3 of the paper).
-	start := r.injArb.Next()
-	// Empty NI: every armInjection would peek nil, zero its register and
-	// decline, so zeroing them all and returning is bit-for-bit identical.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
-		r.injArmedAt = [flit.NumVNs]uint64{}
-		return
-	}
-	for i := 0; i < flit.NumVNs; i++ {
-		vn := flit.VN((start + i) % flit.NumVNs)
-		if !r.armInjection(now, vn) {
-			continue
-		}
-		free := false
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if r.usable(nil, d) && !taken[d] {
-				free = true
-				break
-			}
-		}
-		if !free {
-			return
-		}
-		f := r.src.Pop(vn)
-		// The flit entered the injection register the cycle before it
-		// became eligible; latency accounting starts there, like a
-		// buffer write.
-		entered := r.injArmedAt[vn] - 1
-		r.injArmedAt[vn] = now + 1
-		f.InjectedAt = entered
-		r.injected++
 
-		one := []*flit.Flit{f}
-		a := r.defl.Assign(one, func(ff *flit.Flit, d topology.Dir) bool {
-			return r.usable(ff, d) && !taken[d]
-		}, 0)[0]
-		if !a.OK {
-			panic(fmt.Sprintf("deflect %d: injection with no free port", r.node))
-		}
-		taken[a.Dir] = true
-		if a.Deflected {
-			f.Deflections++
-			r.deflections++
-		}
-		r.send(now, a.Dir, f)
+// inject offers vn's armed head flit an output left free by the network
+// flits — the only backpressure a backpressureless router exerts
+// (footnote 3 of the paper). Each VN may inject one flit per cycle. It
+// reports whether the injection stage should go on to the next VN:
+// deflect mode stops at the first VN that finds no free output, while
+// drop mode skips it, since another VN's head may still have a free
+// productive port.
+func (r *Router) inject(now uint64, vn flit.VN, head *flit.Flit, outs uint8, taken *uint8) bool {
+	a := r.defl.AssignOne(head, outs&^*taken)
+	if !a.OK {
+		return r.nack != nil
 	}
+	f := r.inj.Pop(now, vn)
+	*taken |= 1 << a.Dir
+	if a.Deflected {
+		f.Deflections++
+		r.deflections++
+	}
+	r.send(now, a.Dir, f)
+	return true
 }
 
 // receive latches this cycle's arrivals for dispatch next cycle.
@@ -402,15 +397,16 @@ func (r *Router) receive(now uint64) {
 // Quiescent implements the kernel's active-set contract (sim.Quiescer):
 // ticking is a provable no-op when no flit is latched, in flight toward
 // this router, or awaiting injection. Deflection routers use neither
-// credits nor the control line, so data pipes are the only wake source.
-// An idle tick draws no randomness (Assign returns early on an empty
-// flit set) and mutates only the meter, the injection round-robin
-// pointer, and the idle injection registers — all replayed exactly by
-// FastForward. The sharded tick (internal/network/shard.go) depends on
-// that Tick == FastForward(1) equivalence being exact: its skip
-// decision cannot see same-cycle sends parked in staged boundary
-// registers, which is only sound because skipping such a router
-// changes nothing.
+// credits nor the control line, so data pipes are the only wake source
+// (drop-mode retransmissions enqueue into the NI queue, so NACK wakeups
+// arrive through the source check). An idle tick draws no randomness
+// (Assign returns early on an empty flit set) and mutates only the
+// meter, the injection round-robin pointer, and the idle injection
+// registers — all replayed exactly by FastForward. The sharded tick
+// (internal/network/shard.go) depends on that Tick == FastForward(1)
+// equivalence being exact: its skip decision cannot see same-cycle
+// sends parked in staged boundary registers, which is only sound
+// because skipping such a router changes nothing.
 func (r *Router) Quiescent(now uint64) bool {
 	if r.dead {
 		return true
@@ -433,22 +429,12 @@ func (r *Router) Quiescent(now uint64) bool {
 			}
 		}
 	}
-	if r.srcCount != nil {
-		return r.srcCount.QueuedFlits() == 0
-	}
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if r.src.Peek(vn) != nil {
-			return false
-		}
-	}
-	return true
+	return r.inj.Idle()
 }
 
-// FastForward applies k skipped idle cycles (sim.Quiescer). Each idle
-// tick accrues static energy, rotates the injection arbiter by one (its
-// Pick predicate is always true), and zeroes every idle VN's injection
-// register via armInjection's empty-queue branch — the register is
-// already zero after the first idle cycle, so zeroing now is exact.
+// FastForward applies k skipped idle cycles (sim.Quiescer): each idle
+// tick accrues static energy and runs an idle injection stage, both
+// replayed in bulk.
 func (r *Router) FastForward(k uint64) {
 	if r.dead {
 		return
@@ -456,8 +442,7 @@ func (r *Router) FastForward(k uint64) {
 	if r.meter != nil {
 		r.meter.StaticTicks(k)
 	}
-	r.injArb.Advance(k)
-	r.injArmedAt = [flit.NumVNs]uint64{}
+	r.inj.FastForward(k)
 }
 
 // LatchedFlits returns the number of flits currently held in pipeline

@@ -61,7 +61,7 @@ func newHarness(t *testing.T, node topology.NodeID) *harness {
 		}
 	}
 	h.r = New(mesh, node, router.PolicyRandom, 1, rand.New(rand.NewSource(9)),
-		h.wires, h.ni, h.ni, nil)
+		h.wires, h.ni, h.ni, nil, nil)
 	return h
 }
 

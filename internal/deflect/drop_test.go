@@ -17,7 +17,7 @@ type recordingNacker struct {
 func (r *recordingNacker) Nack(_ uint64, f *flit.Flit) { r.nacks = append(r.nacks, f) }
 
 type dropHarness struct {
-	r     *DropRouter
+	r     *Router
 	ni    *fakeNI
 	nack  *recordingNacker
 	now   uint64
@@ -25,6 +25,11 @@ type dropHarness struct {
 }
 
 func newDropHarness(t *testing.T, node topology.NodeID) *dropHarness {
+	t.Helper()
+	return newDropHarnessPolicy(t, node, router.PolicyRandom)
+}
+
+func newDropHarnessPolicy(t *testing.T, node topology.NodeID, policy router.DeflectPolicy) *dropHarness {
 	t.Helper()
 	mesh := topology.NewMesh(3, 3)
 	h := &dropHarness{ni: &fakeNI{}, nack: &recordingNacker{}}
@@ -37,7 +42,7 @@ func newDropHarness(t *testing.T, node topology.NodeID) *dropHarness {
 			In:  link.NewData(testLinkLat + 1),
 		}
 	}
-	h.r = NewDrop(mesh, node, 1, rand.New(rand.NewSource(3)), h.wires, h.ni, h.ni, nil, h.nack)
+	h.r = New(mesh, node, policy, 1, rand.New(rand.NewSource(3)), h.wires, h.ni, h.ni, nil, h.nack)
 	return h
 }
 
@@ -132,5 +137,39 @@ func TestDropNeverMisroutes(t *testing.T) {
 	}
 	if h.r.DroppedFlits() == 0 {
 		t.Error("saturation produced no drops; test not exercising contention")
+	}
+}
+
+// TestDropHonorsOldestPolicy: the drop kind arbitrates through the
+// configured policy. Under PolicyOldest, of two flits contending for the
+// same productive port the older one advances and the younger one is
+// NACKed — whichever input port each arrives on.
+func TestDropHonorsOldestPolicy(t *testing.T) {
+	for _, olderFrom := range []topology.Dir{topology.North, topology.South} {
+		t.Run(olderFrom.String(), func(t *testing.T) {
+			h := newDropHarnessPolicy(t, 4, router.PolicyOldest)
+			older, younger := mk(1, 1, 5), mk(2, 7, 5)
+			older.InjectedAt, younger.InjectedAt = 3, 8
+			youngerFrom := topology.North
+			if olderFrom == topology.North {
+				youngerFrom = topology.South
+			}
+			// Both flits at center node 4 want East (dst 5).
+			h.wires.Ports[olderFrom].In.Send(h.now, older)
+			h.wires.Ports[youngerFrom].In.Send(h.now, younger)
+			var forwarded []*flit.Flit
+			for c := 0; c < 10; c++ {
+				h.tick()
+				if f, ok := h.wires.Ports[topology.East].Out.Recv(h.now); ok {
+					forwarded = append(forwarded, f)
+				}
+			}
+			if len(forwarded) != 1 || forwarded[0].PacketID != older.PacketID {
+				t.Fatalf("forwarded %v, want only the older flit (packet %d)", forwarded, older.PacketID)
+			}
+			if len(h.nack.nacks) != 1 || h.nack.nacks[0].PacketID != younger.PacketID {
+				t.Fatalf("nacked %v, want only the younger flit (packet %d)", h.nack.nacks, younger.PacketID)
+			}
+		})
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"os"
 	"strconv"
 
-	"afcnet/internal/core"
-	"afcnet/internal/deflect"
-	"afcnet/internal/vcrouter"
+	"afcnet/internal/router"
 )
 
 // DenseEnvVar forces the dense reference kernel in every harness that
@@ -55,36 +53,37 @@ func envSet(name string) bool {
 	return true
 }
 
-// The router banks below register a whole mesh's routers as ONE kernel
-// entry per network. This buys two things over per-router registration:
-// the hot per-cycle loop dispatches Tick/Quiescent/FastForward on a
-// concrete type (devirtualized, inlinable) instead of through the
-// router.Router interface, and the active-set skip happens per router
-// inside the bank, so one busy router does not force its 63 idle
-// neighbors through full Tick bodies. Routers tick in node order, exactly
-// as the previous one-entry-per-router registration did.
-//
-// The banks are written out per concrete type on purpose: a generic bank
-// would route every call through the type parameter's dictionary and give
-// the devirtualization back.
+// The router bank registers a whole mesh's routers as ONE kernel entry
+// per network, so the active-set skip happens per router inside the bank
+// and one busy router does not force its idle neighbors through full
+// Tick bodies. Routers tick in node order, exactly as one-entry-per-router
+// registration would. Every router kind goes through the same loop, via
+// the router.Router interface. Per-kind banks on concrete types bought
+// nothing measurable: the only call the compiler ever inlined through
+// them was vcrouter's FastForward, and removing them left perfbench's
+// mesh32-uniform and paper-closed-3x3 ns_per_router_cycle within
+// run-to-run spread on a 2-vCPU host.
 
-type vcBank struct {
-	rs    []*vcrouter.Router
-	dense bool
-}
-
-func (b *vcBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
+// tickRouters runs one cycle over a node-ordered run of routers, ticking
+// each one — or, unless dense, fast-forwarding it by one cycle when it
+// is provably idle (the Quiescer contract makes the two equivalent). It
+// reports whether every router fast-forwarded.
+func tickRouters(rs []router.Router, now uint64, dense bool) bool {
+	quiet := true
+	for _, r := range rs {
+		if !dense && r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
+			quiet = false
 		}
 	}
+	return quiet
 }
 
-func (b *vcBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
+// routersQuiescent reports whether every router of rs is quiescent.
+func routersQuiescent(rs []router.Router, now uint64) bool {
+	for _, r := range rs {
 		if !r.Quiescent(now) {
 			return false
 		}
@@ -92,146 +91,36 @@ func (b *vcBank) Quiescent(now uint64) bool {
 	return true
 }
 
-func (b *vcBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
-		r.FastForward(cycles)
+// fastForwardRouters applies k skipped idle cycles to every router of rs.
+func fastForwardRouters(rs []router.Router, k uint64) {
+	for _, r := range rs {
+		r.FastForward(k)
 	}
 }
 
-type deflectBank struct {
-	rs    []*deflect.Router
+// routerBank is the serial router bank: the whole mesh as one run.
+type routerBank struct {
+	rs    []router.Router
 	dense bool
 }
 
-func (b *deflectBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-		}
-	}
-}
+func (b *routerBank) Tick(now uint64) { tickRouters(b.rs, now, b.dense) }
 
-func (b *deflectBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
-		if !r.Quiescent(now) {
-			return false
-		}
-	}
-	return true
-}
+func (b *routerBank) Quiescent(now uint64) bool { return routersQuiescent(b.rs, now) }
 
-func (b *deflectBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
-		r.FastForward(cycles)
-	}
-}
+func (b *routerBank) FastForward(cycles uint64) { fastForwardRouters(b.rs, cycles) }
 
-type dropBank struct {
-	rs    []*deflect.DropRouter
-	dense bool
-}
-
-func (b *dropBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-		}
-	}
-}
-
-func (b *dropBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
-		if !r.Quiescent(now) {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *dropBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
-		r.FastForward(cycles)
-	}
-}
-
-type coreBank struct {
-	rs    []*core.Router
-	dense bool
-}
-
-func (b *coreBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-		}
-	}
-}
-
-func (b *coreBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
-		if !r.Quiescent(now) {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *coreBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
-		r.FastForward(cycles)
-	}
-}
-
-// registerRouterBank wraps n.routers in the concrete bank for the
-// network's kind and registers it as a single kernel entry. With the
-// sharded tick enabled the bank is the sharded one (shard.go), which
-// runs the same per-router loops through the worker-group barrier.
+// registerRouterBank registers the network's router bank as a single
+// kernel entry: the sharded one (shard.go) with the sharded tick
+// enabled, which runs the same per-router loop through the worker-group
+// barrier, the serial one otherwise.
 func (n *Network) registerRouterBank() {
 	if n.shards > 1 {
-		if b := n.newShardedBank(); b != nil {
-			n.shardBank = b
-			n.kernel.Register(b)
-			return
-		}
+		n.shardBank = n.newShardedBank()
+		n.kernel.Register(n.shardBank)
+		return
 	}
-	switch n.cfg.Kind {
-	case Backpressured, BackpressuredIdealBypass:
-		b := &vcBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*vcrouter.Router))
-		}
-		n.kernel.Register(b)
-	case Bless:
-		b := &deflectBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*deflect.Router))
-		}
-		n.kernel.Register(b)
-	case BlessDrop:
-		b := &dropBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*deflect.DropRouter))
-		}
-		n.kernel.Register(b)
-	case AFC, AFCAlwaysBuffered:
-		b := &coreBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*core.Router))
-		}
-		n.kernel.Register(b)
-	default:
-		// Unknown kind: keep the generic per-router registration so tests
-		// exercising future kinds still run (no active-set skipping).
-		for _, r := range n.routers {
-			n.kernel.Register(r)
-		}
-	}
+	n.kernel.Register(&routerBank{rs: n.routers, dense: n.cfg.DenseKernel})
 }
 
 // houseKeeper is the per-cycle housekeeping entry (NI queue sampling, due

@@ -152,7 +152,6 @@ type Network struct {
 	coreSlab *core.Slab
 	vcSlab   *vcrouter.Slab
 	deflSlab *deflect.Slab
-	dropSlab *deflect.DropSlab
 
 	// baseTickers marks the kernel registrations made by build itself
 	// (router bank + housekeeping); Reset truncates back to it, dropping
@@ -296,10 +295,8 @@ func (n *Network) build() {
 	switch n.cfg.Kind {
 	case Backpressured, BackpressuredIdealBypass:
 		n.vcSlab = vcrouter.NewSlab(nodes, sys.Baseline)
-	case Bless:
+	case Bless, BlessDrop:
 		n.deflSlab = deflect.NewSlab(nodes)
-	case BlessDrop:
-		n.dropSlab = deflect.NewDropSlab(nodes)
 	case AFC, AFCAlwaysBuffered:
 		n.coreSlab = core.NewSlab(nodes, sys.AFC, sys.LinkLatency)
 	}
@@ -364,24 +361,26 @@ func (n *Network) newRouter(node topology.NodeID, w router.Wires, meter *energy.
 	switch n.cfg.Kind {
 	case Backpressured, BackpressuredIdealBypass:
 		return n.vcSlab.New(n.mesh, node, sys.Baseline, sys.EjectWidth, w, nif, nif, meter, n.tables)
-	case Bless:
-		return n.deflSlab.New(n.mesh, node, n.cfg.Policy, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter, n.tables)
-	case BlessDrop:
-		nif.SetRetain(true)
-		// ACK the source on delivery so it stops retransmitting; the
-		// paper's drop designs carry ACKs on the dedicated NACK fabric.
-		// During a sharded parallel phase the clear targets another
-		// shard's NI, so it is journaled and replayed in the drain.
-		nif.SetAckHook(func(_ uint64, d ni.Delivered) {
-			if n.inParallel {
-				sh := n.shardOf[node]
-				n.journals[sh] = append(n.journals[sh], shardEffect{kind: effAck, src: d.Src, pkt: d.ID})
-				return
-			}
-			n.nis[d.Src].ClearRetained(d.ID)
-		})
-		return n.dropSlab.New(n.mesh, node, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
-			&nodeNacker{net: n, node: node}, n.tables)
+	case Bless, BlessDrop:
+		var nack deflect.Nacker
+		if n.cfg.Kind == BlessDrop {
+			nif.SetRetain(true)
+			// ACK the source on delivery so it stops retransmitting; the
+			// paper's drop designs carry ACKs on the dedicated NACK
+			// fabric. During a sharded parallel phase the clear targets
+			// another shard's NI, so it is journaled and replayed in the
+			// drain.
+			nif.SetAckHook(func(_ uint64, d ni.Delivered) {
+				if n.inParallel {
+					sh := n.shardOf[node]
+					n.journals[sh] = append(n.journals[sh], shardEffect{kind: effAck, src: d.Src, pkt: d.ID})
+					return
+				}
+				n.nis[d.Src].ClearRetained(d.ID)
+			})
+			nack = &nodeNacker{net: n, node: node}
+		}
+		return n.deflSlab.New(n.mesh, node, n.cfg.Policy, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter, nack, n.tables)
 	case AFC:
 		return n.coreSlab.New(n.mesh, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
 			core.Options{Policy: n.cfg.Policy, MisrouteThreshold: n.cfg.MisrouteThreshold, Tables: n.tables})
@@ -478,8 +477,6 @@ func (n *Network) Reset(cfg Config) bool {
 			rt.Reset()
 		case *deflect.Router:
 			rt.Reset(n.source.StreamSeed())
-		case *deflect.DropRouter:
-			rt.Reset(n.source.StreamSeed())
 		case *core.Router:
 			rt.Reset(n.source.StreamSeed())
 		}
@@ -569,7 +566,7 @@ func (n *Network) Router(node topology.NodeID) router.Router { return n.routers[
 // Nodes returns the node count.
 func (n *Network) Nodes() int { return n.mesh.Nodes() }
 
-// nodeNacker adapts the drop router's NACK port to scheduled source
+// nodeNacker adapts a drop-mode router's NACK port to scheduled source
 // retransmission. The NACK flight time models the paper's dedicated,
 // guaranteed-delivery NACK fabric: proportional to the drop site's
 // distance from the source.

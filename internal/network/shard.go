@@ -21,7 +21,7 @@ package network
 //   phase of the protocol shares memory across shards.
 //
 //   Phase A (parallel): every shard ticks its own routers in node order,
-//   with the per-router quiescence skip of the serial banks — or, when
+//   with the per-router quiescence skip of the serial bank — or, when
 //   the whole band was quiescent last cycle and nothing arrived or woke
 //   it (band-level quiescence), a straight FastForward of the band that
 //   skips even the per-router checks. All state a router touches is
@@ -54,13 +54,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"afcnet/internal/core"
 	"afcnet/internal/deflect"
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
+	"afcnet/internal/router"
 	"afcnet/internal/sim"
 	"afcnet/internal/topology"
-	"afcnet/internal/vcrouter"
 )
 
 // Band is one shard's node range [Lo, Hi): a contiguous run of whole
@@ -364,18 +363,16 @@ func (n *Network) ShardDispatchInline() bool {
 	return n.group != nil && n.group.Inline()
 }
 
-// shardedBank is the sharded counterpart of the per-kind serial banks in
+// shardedBank is the sharded counterpart of the serial routerBank in
 // active.go: one kernel entry ticking the whole mesh, but through the
-// worker group. Exactly one of the per-kind slices is non-nil (networks
-// are homogeneous); each holds one sub-slice of concrete routers per
-// shard, so the hot loops stay devirtualized.
+// worker group, each shard running the same per-router loop over its
+// band.
 type shardedBank struct {
 	n     *Network
 	dense bool
-	vc    [][]*vcrouter.Router
-	defl  [][]*deflect.Router
-	drop  [][]*deflect.DropRouter
-	afc   [][]*core.Router
+	// bands holds each shard's routers: a node-ordered sub-slice of
+	// n.routers.
+	bands [][]router.Router
 	// tick is the stored tickShard method value, so group.Run closes over
 	// nothing per cycle.
 	tick func(shard int, now uint64)
@@ -393,54 +390,25 @@ type shardedBank struct {
 	wake  []bool
 }
 
-// newShardedBank slices n.routers by band into a shardedBank, or returns
-// nil for a kind without a concrete bank (the caller falls back to the
-// serial per-router registration). It also wires the per-node shard
-// plumbing that only makes sense once the bank exists: each NI's arena
-// magazine and band-wake flag, and each drop router's magazine for drop
-// retirement.
+// newShardedBank slices n.routers by band into a shardedBank. It also
+// wires the per-node shard plumbing that only makes sense once the bank
+// exists: each NI's arena magazine and band-wake flag, and each
+// deflection router's magazine for drop retirement.
 func (n *Network) newShardedBank() *shardedBank {
-	b := &shardedBank{n: n, dense: n.cfg.DenseKernel}
-	switch n.cfg.Kind {
-	case Backpressured, BackpressuredIdealBypass:
-		b.vc = make([][]*vcrouter.Router, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.vc[s] = append(b.vc[s], n.routers[v].(*vcrouter.Router))
-			}
-		}
-	case Bless:
-		b.defl = make([][]*deflect.Router, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.defl[s] = append(b.defl[s], n.routers[v].(*deflect.Router))
-			}
-		}
-	case BlessDrop:
-		b.drop = make([][]*deflect.DropRouter, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.drop[s] = append(b.drop[s], n.routers[v].(*deflect.DropRouter))
-			}
-		}
-	case AFC, AFCAlwaysBuffered:
-		b.afc = make([][]*core.Router, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.afc[s] = append(b.afc[s], n.routers[v].(*core.Router))
-			}
-		}
-	default:
-		return nil
+	b := &shardedBank{
+		n:     n,
+		dense: n.cfg.DenseKernel,
+		bands: make([][]router.Router, n.shards),
+		quiet: make([]bool, n.shards),
+		wake:  make([]bool, n.shards),
 	}
 	b.tick = b.tickShard
-	b.quiet = make([]bool, n.shards)
-	b.wake = make([]bool, n.shards)
 	for s, band := range n.bands {
+		b.bands[s] = n.routers[band.Lo:band.Hi]
 		for v := band.Lo; v < band.Hi; v++ {
 			n.nis[v].SetArenaShard(n.arena.Shard(s))
 			n.nis[v].SetWakeFlag(&b.wake[s])
-			if dr, ok := n.routers[v].(*deflect.DropRouter); ok {
+			if dr, ok := n.routers[v].(*deflect.Router); ok {
 				dr.SetArenaShard(n.arena.Shard(s))
 			}
 		}
@@ -489,7 +457,7 @@ func (b *shardedBank) Tick(now uint64) {
 
 // tickShard is one shard's parallel pass: commit last cycle's inbound
 // boundary sends, then tick the band — with the per-router quiescence
-// skip of the serial banks, or a band-level fast-forward when the whole
+// skip of the serial bank, or a band-level fast-forward when the whole
 // band proved quiescent last pass and nothing arrived or woke it.
 //
 // The per-router skip stays bit-identical to serial even though a
@@ -537,113 +505,12 @@ func (b *shardedBank) runShard(shard int, now uint64) {
 		committed = n.commitInbound(shard, int(now+1)&1)
 	}
 	if !b.dense && b.quiet[shard] && !committed && !b.wake[shard] {
-		switch {
-		case b.vc != nil:
-			ffBandVC(b.vc[shard])
-		case b.defl != nil:
-			ffBandDefl(b.defl[shard])
-		case b.drop != nil:
-			ffBandDrop(b.drop[shard])
-		case b.afc != nil:
-			ffBandAFC(b.afc[shard])
-		}
+		fastForwardRouters(b.bands[shard], 1)
 		return
 	}
 	b.wake[shard] = false
-	quiet := false
-	switch {
-	case b.vc != nil:
-		quiet = tickBandVC(b.vc[shard], now, b.dense)
-	case b.defl != nil:
-		quiet = tickBandDefl(b.defl[shard], now, b.dense)
-	case b.drop != nil:
-		quiet = tickBandDrop(b.drop[shard], now, b.dense)
-	case b.afc != nil:
-		quiet = tickBandAFC(b.afc[shard], now, b.dense)
-	}
+	quiet := tickRouters(b.bands[shard], now, b.dense)
 	b.quiet[shard] = !b.dense && quiet
-}
-
-// The band loops live in their own small functions — the same shape as
-// the serial banks' Tick loops in active.go, and for the same reason:
-// inside one big tickShard body the compiler spilled its way through
-// four switch arms, and the hot loop measurably lost to the serial
-// bank. Each returns whether every router of the band fast-forwarded.
-
-func tickBandVC(rs []*vcrouter.Router, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func tickBandDefl(rs []*deflect.Router, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func tickBandDrop(rs []*deflect.DropRouter, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func tickBandAFC(rs []*core.Router, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func ffBandVC(rs []*vcrouter.Router) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
-}
-
-func ffBandDefl(rs []*deflect.Router) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
-}
-
-func ffBandDrop(rs []*deflect.DropRouter) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
-}
-
-func ffBandAFC(rs []*core.Router) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
 }
 
 // Quiescent implements sim.Quiescer. Serial-side call between cycles, so
@@ -656,50 +523,12 @@ func (b *shardedBank) Quiescent(now uint64) bool {
 	if b.n.stagedPending() {
 		return false
 	}
-	switch {
-	case b.vc != nil:
-		for s, rs := range b.vc {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
+	for s, rs := range b.bands {
+		if b.quiet[s] && !b.wake[s] {
+			continue
 		}
-	case b.defl != nil:
-		for s, rs := range b.defl {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
-		}
-	case b.drop != nil:
-		for s, rs := range b.drop {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
-		}
-	case b.afc != nil:
-		for s, rs := range b.afc {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
+		if !routersQuiescent(rs, now) {
+			return false
 		}
 	}
 	return true
@@ -708,30 +537,7 @@ func (b *shardedBank) Quiescent(now uint64) bool {
 // FastForward implements sim.Quiescer: skipped cycles advance serially —
 // fast-forward bodies are cheap static bookkeeping, not worth a barrier.
 func (b *shardedBank) FastForward(cycles uint64) {
-	switch {
-	case b.vc != nil:
-		for _, rs := range b.vc {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
-	case b.defl != nil:
-		for _, rs := range b.defl {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
-	case b.drop != nil:
-		for _, rs := range b.drop {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
-	case b.afc != nil:
-		for _, rs := range b.afc {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
+	for _, rs := range b.bands {
+		fastForwardRouters(rs, cycles)
 	}
 }

@@ -183,7 +183,7 @@ func (n *Network) TotalDeflections() uint64 {
 func (n *Network) TotalDropped() uint64 {
 	var t uint64
 	for _, r := range n.routers {
-		if d, ok := r.(*deflect.DropRouter); ok {
+		if d, ok := r.(*deflect.Router); ok {
 			t += d.DroppedFlits()
 		}
 	}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -37,9 +38,11 @@ func (p DeflectPolicy) String() string {
 type Assignment struct {
 	// Dir is the assigned output; topology.Local means ejection.
 	Dir topology.Dir
-	// OK is false if no output could be assigned (only possible when the
-	// caller restricts availability, e.g. AFC masking credit-exhausted
-	// outputs; a pure deflection router always succeeds).
+	// OK is false if no output could be assigned: the caller restricts
+	// availability (AFC masking credit-exhausted outputs, fault-blocked
+	// links), or the deflector is productive-only and the flit would
+	// have been deflected. A pure deflection router on a healthy mesh
+	// always succeeds.
 	OK bool
 	// Deflected reports whether the assignment is a misroute (not a
 	// productive direction and not an ejection).
@@ -49,11 +52,14 @@ type Assignment struct {
 // Deflector implements the port-assignment step of deflection
 // (hot-potato) routing for one router: every contending flit receives some
 // free output; at most one flit ejects per cycle; losers are misrouted.
+// A productive-only deflector (the drop-based variant) never misroutes:
+// losers get OK=false instead.
 type Deflector struct {
-	mesh   topology.Mesh
-	node   topology.NodeID
-	policy DeflectPolicy
-	rng    *rand.Rand
+	mesh           topology.Mesh
+	node           topology.NodeID
+	policy         DeflectPolicy
+	productiveOnly bool
+	rng            *rand.Rand
 
 	// routes is node's precomputed route table (per-destination DOR
 	// next hop and productive-direction set).
@@ -61,7 +67,6 @@ type Deflector struct {
 
 	// scratch buffers reused across cycles to avoid allocation
 	order []int
-	free  []topology.Dir
 	out   []Assignment
 }
 
@@ -86,6 +91,11 @@ func (d *Deflector) Init(mesh topology.Mesh, node topology.NodeID, policy Deflec
 	d.routes = routes
 }
 
+// SetProductiveOnly selects the productive-only fallback: where Assign
+// would deflect a flit it returns OK=false instead, drawing no
+// randomness. The drop-based router drops and NACKs such flits.
+func (d *Deflector) SetProductiveOnly(on bool) { d.productiveOnly = on }
+
 // DORTable exposes the deflector's per-destination DOR table (aliasing
 // tests assert it shares the network's backing).
 func (d *Deflector) DORTable() []topology.Dir { return d.routes.DOR }
@@ -98,20 +108,21 @@ func (d *Deflector) Reseed(seed int64) { d.rng.Seed(seed) }
 
 // Assign assigns an output direction to every flit in flits.
 //
-// usable(f, dir) must report whether output dir can carry f this cycle:
-// the link exists, and (for AFC) the downstream router has credits for
-// f's virtual network if it is in backpressured mode. Assign itself masks
-// ports already taken by higher-priority flits. ejectFree reports whether
-// the single ejection port is available.
+// usable[vn] is the set of outputs (bit d = output d) that can carry a
+// flit of virtual network vn this cycle: the link exists, is not
+// fault-blocked, and (for AFC) the downstream router has credits for vn
+// if it is in backpressured mode. Bits at NumDirs and above must be
+// clear. Assign itself masks ports already taken by higher-priority
+// flits. ejectSlots is the number of flits that may eject this cycle.
 //
 // The returned slice is parallel to flits and is only valid until the next
 // call. Flits are prioritized per the policy; each flit takes, in order of
 // preference: ejection (if destined here), a productive direction (the
 // DOR direction first, so low-load paths match the baseline), any other
-// usable direction (a deflection). OK=false marks flits for which no
-// output remained; a caller that never masks outputs can treat that as an
-// invariant violation.
-func (d *Deflector) Assign(flits []*flit.Flit, usable func(f *flit.Flit, dir topology.Dir) bool, ejectSlots int) []Assignment {
+// usable direction (a deflection, unless productive-only). OK=false marks
+// flits for which no output remained; a caller that never masks outputs
+// and allows deflection can treat that as an invariant violation.
+func (d *Deflector) Assign(flits []*flit.Flit, usable [flit.NumVNs]uint8, ejectSlots int) []Assignment {
 	if cap(d.out) < len(flits) {
 		d.out = make([]Assignment, len(flits))
 	}
@@ -142,20 +153,35 @@ func (d *Deflector) Assign(flits []*flit.Flit, usable func(f *flit.Flit, dir top
 		})
 	}
 
-	taken := [topology.NumDirs]bool{}
+	var taken uint8
 	for _, idx := range d.order {
 		f := flits[idx]
-		a := d.assignOne(f, usable, &taken, &ejectSlots)
+		a := d.assignOne(f, usable[f.VN]&^taken, &ejectSlots)
+		if a.OK && a.Dir != topology.Local {
+			taken |= 1 << a.Dir
+		}
 		out[idx] = a
 	}
 	return out
 }
 
-func (d *Deflector) assignOne(f *flit.Flit, avail func(*flit.Flit, topology.Dir) bool, taken *[topology.NumDirs]bool, ejectSlots *int) Assignment {
-	usable := func(dir topology.Dir) bool {
-		return avail(f, dir) && !taken[dir]
-	}
+// AssignOne is Assign for a single flit with no ejection slot: the
+// injection stage's port assignment. free is the set of outputs (bit d
+// = output d) that are usable for f and not yet taken this cycle. One
+// flit needs no priority order, so like Assign over a one-flit slice it
+// draws no shuffle randomness.
+func (d *Deflector) AssignOne(f *flit.Flit, free uint8) Assignment {
+	ejectSlots := 0
+	return d.assignOne(f, free, &ejectSlots)
+}
 
+// Order returns the priority order of the last non-empty Assign call:
+// indices into its flits, highest priority first. Valid until the next
+// call.
+func (d *Deflector) Order() []int { return d.order }
+
+// assignOne picks f's output among free, the outputs still usable for it.
+func (d *Deflector) assignOne(f *flit.Flit, free uint8, ejectSlots *int) Assignment {
 	dst := f.Dst
 	if dst == d.node {
 		if *ejectSlots > 0 {
@@ -165,34 +191,28 @@ func (d *Deflector) assignOne(f *flit.Flit, avail func(*flit.Flit, topology.Dir)
 		// Ejection port busy: the flit must be deflected and return later.
 	} else {
 		// Prefer the DOR next hop, then the other productive direction.
-		if dor := d.routes.DOR[dst]; usable(dor) {
-			taken[dor] = true
+		if dor := d.routes.DOR[dst]; free&(1<<dor) != 0 {
 			return Assignment{Dir: dor, OK: true}
 		}
 		ps := &d.routes.Prod[dst]
 		for _, dir := range ps.D[:ps.N] {
-			if usable(dir) {
-				taken[dir] = true
+			if free&(1<<dir) != 0 {
 				return Assignment{Dir: dir, OK: true}
 			}
 		}
 	}
 
-	// Deflect: pick uniformly among the remaining free outputs so hot
-	// spots spread symmetrically.
-	d.free = d.free[:0]
-	for dir := topology.Dir(0); dir < topology.NumDirs; dir++ {
-		if usable(dir) {
-			d.free = append(d.free, dir)
-		}
-	}
-	if len(d.free) == 0 {
+	if d.productiveOnly || free == 0 {
 		return Assignment{OK: false}
 	}
-	dir := d.free[0]
-	if len(d.free) > 1 && d.policy == PolicyRandom {
-		dir = d.free[d.rng.Intn(len(d.free))]
+	// Deflect: pick uniformly among the remaining free outputs (the k-th
+	// lowest set bit) so hot spots spread symmetrically.
+	k := 0
+	if n := bits.OnesCount8(free); n > 1 && d.policy == PolicyRandom {
+		k = d.rng.Intn(n)
 	}
-	taken[dir] = true
-	return Assignment{Dir: dir, OK: true, Deflected: true}
+	for ; k > 0; k-- {
+		free &= free - 1
+	}
+	return Assignment{Dir: topology.Dir(bits.TrailingZeros8(free)), OK: true, Deflected: true}
 }

@@ -3,7 +3,8 @@
 // deflection, and AFC): the Router interface, the link bundles that wire
 // routers to their neighbors, the local-port interfaces to the network
 // interface, round-robin arbitration, and the deflection port-assignment
-// engine used by the BLESS router and by AFC's backpressureless mode.
+// engine and injection stage used by the BLESS router and by AFC's
+// backpressureless mode.
 package router
 
 import (
@@ -18,7 +19,8 @@ import (
 
 // Router is one mesh router. Tick performs one cycle of operation:
 // process arrivals latched in previous cycles, arbitrate, transmit, and
-// latch this cycle's arrivals.
+// latch this cycle's arrivals. Every router is a sim.Quiescer, so the
+// network's router bank can skip it while it is provably idle.
 //
 // Shard safety: the sharded tick (internal/network's two-phase barrier)
 // runs whole row bands of routers concurrently within one cycle, so
@@ -32,7 +34,7 @@ import (
 // start-of-cycle view of the pipe counters and leans on that
 // equivalence to stay serial-identical.
 type Router interface {
-	sim.Ticker
+	sim.Quiescer
 	Node() topology.NodeID
 }
 

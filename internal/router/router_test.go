@@ -48,11 +48,24 @@ func mkFlit(id uint64, dst topology.NodeID, vn flit.VN) *flit.Flit {
 	return &flit.Flit{PacketID: id, Len: 1, Dst: dst, VN: vn}
 }
 
-func allUsable(mesh topology.Mesh, node topology.NodeID) func(*flit.Flit, topology.Dir) bool {
-	return func(_ *flit.Flit, d topology.Dir) bool {
-		_, ok := mesh.Neighbor(node, d)
-		return ok
+// everyVN returns Assign's per-VN availability with mask for every VN.
+func everyVN(mask uint8) [flit.NumVNs]uint8 {
+	var u [flit.NumVNs]uint8
+	for vn := range u {
+		u[vn] = mask
 	}
+	return u
+}
+
+// allUsable makes every wired output of node usable.
+func allUsable(mesh topology.Mesh, node topology.NodeID) [flit.NumVNs]uint8 {
+	var mask uint8
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		if _, ok := mesh.Neighbor(node, d); ok {
+			mask |= 1 << d
+		}
+	}
+	return everyVN(mask)
 }
 
 // TestDeflectorAlwaysAssigns is the defining deflection invariant: with
@@ -165,15 +178,12 @@ func TestDeflectorRespectsMasking(t *testing.T) {
 	f := func(mask uint8, nf uint8) bool {
 		rng := rand.New(rand.NewSource(int64(mask)*31 + int64(nf)))
 		d := NewDeflector(mesh, node, PolicyRandom, rng)
-		usable := func(_ *flit.Flit, dir topology.Dir) bool {
-			return mask&(1<<uint(dir)) != 0
-		}
 		nFlits := int(nf)%4 + 1
 		flits := make([]*flit.Flit, nFlits)
 		for i := range flits {
 			flits[i] = mkFlit(uint64(i), 0, flit.VNReq) // dst 0 != node 4
 		}
-		as := d.Assign(flits, usable, 1)
+		as := d.Assign(flits, everyVN(mask&0xf), 1)
 		usableCount := 0
 		for dir := topology.Dir(0); dir < topology.NumDirs; dir++ {
 			if mask&(1<<uint(dir)) != 0 {
@@ -216,9 +226,7 @@ func TestDeflectorExhaustiveSmallCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	d := NewDeflector(mesh, node, PolicyRandom, rng)
 	for mask := 0; mask < 16; mask++ {
-		usable := func(_ *flit.Flit, dir topology.Dir) bool {
-			return mask&(1<<uint(dir)) != 0
-		}
+		usable := everyVN(uint8(mask))
 		usableCount := 0
 		for dir := topology.Dir(0); dir < topology.NumDirs; dir++ {
 			if mask&(1<<uint(dir)) != 0 {

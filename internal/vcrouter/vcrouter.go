@@ -139,11 +139,6 @@ type Router struct {
 	realisticVCA bool
 	numVCs       int
 	vnVCs        [flit.NumVNs][]int // virtual network -> VC indices
-
-	// Stats
-	routedFlits   uint64
-	injectedFlits uint64
-	ejectedFlits  uint64
 }
 
 // Slab is a contiguous bank of baseline routers: the Router structs,
@@ -300,9 +295,6 @@ func (r *Router) Reset() {
 	r.blockedOut = [topology.NumDirs]bool{}
 	r.deadOut = [topology.NumDirs]bool{}
 	r.dead = false
-	r.routedFlits = 0
-	r.injectedFlits = 0
-	r.ejectedFlits = 0
 }
 
 // SetPortBlocked marks (or clears) output d as fault-blocked for data:
@@ -323,10 +315,6 @@ func (r *Router) SetPortDead(d topology.Dir) {
 // flits stay parked — still visible to ForEachFlit, keeping the
 // checker's conservation ledger balanced.
 func (r *Router) SetDead() { r.dead = true }
-
-// RoutedFlits returns the number of flits this router has moved through
-// its crossbar (switch traversals).
-func (r *Router) RoutedFlits() uint64 { return r.routedFlits }
 
 // Tick implements one cycle (see the package comment for the pipeline
 // correspondence).
@@ -522,7 +510,6 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 	r.held--
 	r.heldAt[in]--
 	c.valid = false
-	r.routedFlits++
 	if r.meter != nil {
 		r.meter.BufRead()
 		r.meter.SwArb()
@@ -551,7 +538,6 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 	}
 
 	if out == topology.Local {
-		r.ejectedFlits++
 		r.sink.Deliver(now, f)
 		return
 	}
@@ -603,7 +589,6 @@ func (r *Router) inject(now uint64) {
 		vc.q = append(vc.q, entry{f: f, readyAt: now + 1})
 		r.held++
 		r.heldAt[topology.Local]++
-		r.injectedFlits++
 		if r.meter != nil {
 			r.meter.BufWrite()
 		}
