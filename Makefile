@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-equality smoke-16x16 smoke-32x32 smoke-64x64 bench-json bench-smoke bench-digests fuzz-smoke obs-smoke scenario-smoke cover ci
+.PHONY: build vet test race race-equality smoke-16x16 smoke-32x32 smoke-64x64 bench-smoke bench-digests fuzz-smoke obs-smoke scenario-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -50,21 +50,14 @@ smoke-32x32:
 smoke-64x64:
 	$(GO) test -short -count=1 -run='^TestLargeMesh64x64(Sharded)?Smoke$$' ./internal/network
 
-# Record a numbered BENCH_<n>.json performance snapshot: kernel ns/op
-# and allocs/op plus low-load vs saturation cell wall times (minimum of
-# -runs repetitions). The checked-in snapshots are the repo's perf
-# trajectory; bench-smoke compares against the newest one.
-bench-json:
-	$(GO) run ./cmd/benchjson
-
 # One-iteration pass over a closed-loop benchmark (catches harness
-# regressions without paying for a full measurement run), then a
-# reduced benchjson measurement compared against the newest recorded
-# BENCH_<n>.json snapshot: wall-clock deltas warn, allocation
-# regressions fail the target.
+# regressions without paying for a full measurement run), then the
+# steady-state allocation gate: every router kind's kernel step must
+# allocate nothing once warmed up. Performance itself is measured by
+# perfbench (perfbench/README.md), an A/B against the parent commit.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Fig2a -benchtime=1x .
-	$(GO) run ./cmd/benchjson -smoke
+	$(GO) test -count=1 -run '^TestKernelStepAllocFree$$' .
 
 # The exact-output gate: one second of every perfbench workload at seed
 # 1, each of which must end with `"correct": true` (every cell's result

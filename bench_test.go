@@ -1,3 +1,5 @@
+//go:build !race
+
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (DESIGN.md maps experiment IDs to these benches; recorded
 // results live in EXPERIMENTS.md). Each bench runs the same harness as
@@ -6,14 +8,17 @@
 // one command:
 //
 //	go test -bench=Fig2c -benchmem .
+//
+// The race detector allocates, so these benches and the allocation gate
+// TestKernelStepAllocFree build only without it.
 package afcnet_test
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
-	"afcnet/internal/check"
 	"afcnet/internal/cmp"
 	"afcnet/internal/config"
 	"afcnet/internal/experiments"
@@ -56,23 +61,74 @@ func reportKind(b *testing.B, ms []experiments.Measurement, metric string, get f
 	}
 }
 
-// BenchmarkKernelStep measures the per-cycle cost of the simulation
-// kernel itself: one AFC network under moderate uniform open-loop load,
-// stepped cycle by cycle. This is the inner loop every harness above
-// amplifies; run it with -benchmem to track hot-path allocation cost.
-func BenchmarkKernelStep(b *testing.B) {
-	net := network.New(network.Config{Kind: network.AFC, Seed: 1, MeterEnergy: true})
-	gen := traffic.NewGenerator(net, traffic.Config{
+// kernelCell builds one kernel-step cell: a network of the given kind on
+// a side x side mesh under uniform open-loop load at rate
+// flits/node/cycle, run-mode options from opt, stepped warmup cycles to
+// reach steady state. The network closes when tb ends.
+func kernelCell(tb testing.TB, kind network.Kind, side int, rate float64, warmup uint64, opt experiments.Options) *network.Network {
+	tb.Helper()
+	net := opt.NewNetwork(network.Config{
+		Kind: kind, Seed: 1, MeterEnergy: true,
+		System: config.DefaultWithMesh(topology.NewMesh(side, side)),
+	})
+	tb.Cleanup(net.Close)
+	net.AddTicker(traffic.NewGenerator(net, traffic.Config{
 		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.3,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(1000) // reach steady state before measuring
+		Rate:    rate,
+	}, net.RandStream))
+	net.Run(warmup)
+	return net
+}
+
+// benchStep measures one Network.Step per iteration.
+func benchStep(b *testing.B, net *network.Network) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Step()
 	}
+}
+
+// TestKernelStepAllocFree pins the pooled kernel's steady state at zero
+// allocations per step (the floor of the mean over 1000 steps): on AFC
+// at moderate and near-idle load on 3x3, on AFC at 16x16 serial and
+// through the sharded tick, and on every kind at 16x16 below
+// saturation. Any allocation in steady state is a leak of the pooling
+// discipline, not noise.
+func TestKernelStepAllocFree(t *testing.T) {
+	type cell struct {
+		kind   network.Kind
+		side   int
+		rate   float64
+		warmup uint64
+		shards int
+	}
+	cells := []cell{
+		{network.AFC, 3, 0.3, 1000, 0},
+		{network.AFC, 3, 0.02, 1000, 0},
+		{network.AFC, 16, 0.08, 5000, 0},
+		{network.AFC, 16, 0.08, 5000, 8},
+	}
+	for k := network.Kind(0); k < network.NumKinds; k++ {
+		cells = append(cells, cell{k, 16, 0.04, 5000, 0})
+	}
+	for _, c := range cells {
+		name := fmt.Sprintf("%s/%dx%d/rate%g/shards%d", c.kind, c.side, c.side, c.rate, c.shards)
+		t.Run(name, func(t *testing.T) {
+			net := kernelCell(t, c.kind, c.side, c.rate, c.warmup, experiments.Options{Shards: c.shards})
+			if a := testing.AllocsPerRun(1000, net.Step); a != 0 {
+				t.Errorf("%v allocs per step in steady state, want 0", a)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelStep measures the per-cycle cost of the simulation
+// kernel itself: one AFC network under moderate uniform open-loop load,
+// stepped cycle by cycle. This is the inner loop every harness above
+// amplifies; run it with -benchmem to track hot-path allocation cost.
+func BenchmarkKernelStep(b *testing.B) {
+	benchStep(b, kernelCell(b, network.AFC, 3, 0.3, 1000, experiments.Options{}))
 }
 
 // BenchmarkKernelStep16x16 is BenchmarkKernelStep on a 16x16 mesh — the
@@ -85,23 +141,10 @@ func BenchmarkKernelStep(b *testing.B) {
 // down: uniform traffic on a 16x16 mesh saturates near 0.12
 // flits/node/cycle (bisection-limited, ~10.7 average hops), so the 3x3
 // bench's 0.3 would sit past saturation where queues — and allocations —
-// grow without bound and no steady state exists.
+// grow without bound and no steady state exists. The 5000-cycle warmup
+// covers the larger mesh's longer fill.
 func BenchmarkKernelStep16x16(b *testing.B) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true,
-		System: config.DefaultWithMesh(topology.NewMesh(16, 16)),
-	})
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.08,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(5000) // reach steady state before measuring (large mesh: longer fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	benchStep(b, kernelCell(b, network.AFC, 16, 0.08, 5000, experiments.Options{}))
 }
 
 // BenchmarkKernelStep16x16Sharded is BenchmarkKernelStep16x16 through
@@ -109,27 +152,12 @@ func BenchmarkKernelStep16x16(b *testing.B) {
 // two-phase barrier targets: one large network whose cycle is wide
 // enough to split across cores. Results are bit-identical to the serial
 // bench's network (TestShardedEqualsSerial); what this bench tracks is
-// the wall-clock ratio against BenchmarkKernelStep16x16 (reported by
-// cmd/benchjson as a speedup on multi-core hosts; on a single-core host
-// the barrier is pure overhead and the ratio inverts) and that the
-// parallel arena keeps the steady state allocation-free.
+// the wall-clock ratio against BenchmarkKernelStep16x16 (a speedup on
+// multi-core hosts; on a single-core host the barrier is pure overhead
+// and the ratio inverts) and that the parallel arena keeps the steady
+// state allocation-free.
 func BenchmarkKernelStep16x16Sharded(b *testing.B) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true, Shards: 8,
-		System: config.DefaultWithMesh(topology.NewMesh(16, 16)),
-	})
-	defer net.Close()
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.08,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(5000) // reach steady state before measuring (large mesh: longer fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	benchStep(b, kernelCell(b, network.AFC, 16, 0.08, 5000, experiments.Options{Shards: 8}))
 }
 
 // BenchmarkKernelStep32x32 scales the large-radix cell to a 32x32 mesh
@@ -140,7 +168,7 @@ func BenchmarkKernelStep16x16Sharded(b *testing.B) {
 // state. The warmup stretches to 8000 cycles because the bigger mesh
 // takes proportionally longer to fill (~21 average hops).
 func BenchmarkKernelStep32x32(b *testing.B) {
-	benchKernelStep32x32(b, 0)
+	benchStep(b, kernelCell(b, network.AFC, 32, 0.04, 8000, experiments.Options{}))
 }
 
 // BenchmarkKernelStep32x32Sharded is BenchmarkKernelStep32x32 through
@@ -149,26 +177,7 @@ func BenchmarkKernelStep32x32(b *testing.B) {
 // coarser and the fixed dispatch cost proportionally smaller — the
 // regime where the sharded tick should scale best.
 func BenchmarkKernelStep32x32Sharded(b *testing.B) {
-	benchKernelStep32x32(b, 8)
-}
-
-func benchKernelStep32x32(b *testing.B, shards int) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true, Shards: shards,
-		System: config.DefaultWithMesh(topology.NewMesh(32, 32)),
-	})
-	defer net.Close()
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.04,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(8000) // reach steady state before measuring (1024 nodes: long fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	benchStep(b, kernelCell(b, network.AFC, 32, 0.04, 8000, experiments.Options{Shards: 8}))
 }
 
 // BenchmarkKernelStep64x64 scales the large-radix cell to a 64x64 mesh
@@ -179,7 +188,7 @@ func benchKernelStep32x32(b *testing.B, shards int) {
 // The injection rate halves again (bisection-limited near 0.03) and the
 // warmup doubles to 16000 cycles (~42 average hops to fill).
 func BenchmarkKernelStep64x64(b *testing.B) {
-	benchKernelStep64x64(b, 0)
+	benchStep(b, kernelCell(b, network.AFC, 64, 0.02, 16000, experiments.Options{}))
 }
 
 // BenchmarkKernelStep64x64Sharded is BenchmarkKernelStep64x64 through
@@ -187,26 +196,7 @@ func BenchmarkKernelStep64x64(b *testing.B) {
 // parallel grain the repo records, where each band's 512-router working
 // set makes the fixed barrier cost smallest relative to useful work.
 func BenchmarkKernelStep64x64Sharded(b *testing.B) {
-	benchKernelStep64x64(b, 8)
-}
-
-func benchKernelStep64x64(b *testing.B, shards int) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true, Shards: shards,
-		System: config.DefaultWithMesh(topology.NewMesh(64, 64)),
-	})
-	defer net.Close()
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.02,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(16000) // reach steady state before measuring (4096 nodes: longest fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	benchStep(b, kernelCell(b, network.AFC, 64, 0.02, 16000, experiments.Options{Shards: 8}))
 }
 
 // BenchmarkKernelStepLowLoad is BenchmarkKernelStep at a near-idle
@@ -215,29 +205,14 @@ func benchKernelStep64x64(b *testing.B, shards int) {
 // small fraction of the dense kernel's (compare against
 // BenchmarkKernelStepLowLoadDense).
 func BenchmarkKernelStepLowLoad(b *testing.B) {
-	benchKernelStepLowLoad(b, false)
+	benchStep(b, kernelCell(b, network.AFC, 3, 0.02, 1000, experiments.Options{}))
 }
 
 // BenchmarkKernelStepLowLoadDense is the same workload on the dense
 // reference kernel (every ticker every cycle) — the baseline the
 // active-set speedup is measured against.
 func BenchmarkKernelStepLowLoadDense(b *testing.B) {
-	benchKernelStepLowLoad(b, true)
-}
-
-func benchKernelStepLowLoad(b *testing.B, dense bool) {
-	net := network.New(network.Config{Kind: network.AFC, Seed: 1, MeterEnergy: true, DenseKernel: dense})
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.02,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(1000) // reach steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	benchStep(b, kernelCell(b, network.AFC, 3, 0.02, 1000, experiments.Options{Dense: true}))
 }
 
 // BenchmarkKernelStepChecked is BenchmarkKernelStep with the
@@ -246,19 +221,7 @@ func benchKernelStepLowLoad(b *testing.B, dense bool) {
 // comparing the two benches measures the -check overhead reported in
 // EXPERIMENTS.md.
 func BenchmarkKernelStepChecked(b *testing.B) {
-	net := network.New(network.Config{Kind: network.AFC, Seed: 1, MeterEnergy: true})
-	check.Attach(net)
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.3,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(1000) // reach steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	benchStep(b, kernelCell(b, network.AFC, 3, 0.3, 1000, experiments.Options{Check: true}))
 }
 
 // BenchmarkFig2aLowLoadPerformance regenerates Figure 2(a): normalized

@@ -37,27 +37,17 @@ import (
 	"log"
 	"os"
 
-	"afcnet/internal/check"
+	"afcnet/internal/cli"
 	"afcnet/internal/cmp"
 	"afcnet/internal/config"
 	"afcnet/internal/experiments"
 	"afcnet/internal/network"
-	"afcnet/internal/obs"
 	"afcnet/internal/router"
 	"afcnet/internal/runner"
 	"afcnet/internal/scenario"
 	"afcnet/internal/topology"
 	"afcnet/internal/trace"
 )
-
-var kindsByName = map[string]network.Kind{
-	"backpressured":    network.Backpressured,
-	"ideal-bypass":     network.BackpressuredIdealBypass,
-	"backpressureless": network.Bless,
-	"drop":             network.BlessDrop,
-	"afc":              network.AFC,
-	"afc-always-bp":    network.AFCAlwaysBuffered,
-}
 
 func main() {
 	log.SetFlags(0)
@@ -76,32 +66,9 @@ func main() {
 		scenarioF = flag.String("scenario", "", "instead of a workload, run the JSON scenario spec at this path open-loop and report per-phase completion-time percentiles")
 		recordTo  = flag.String("record", "", "record the created packet trace to this file")
 		replayOf  = flag.String("replay", "", "instead of a workload, replay a trace file recorded with -record")
-		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked   = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker (or set AFCSIM_CHECK=1); identical results, slower")
-		dense     = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
-		nopool    = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
-		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		run       = cli.Register(flag.CommandLine)
 	)
 	flag.Parse()
-
-	stopCPU, err := obs.StartCPUProfile(*cpuprof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var metrics *obs.Metrics
-	if *debugAddr != "" {
-		metrics = &obs.Metrics{}
-		addr, err := obs.ServeDebug(*debugAddr, metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug endpoint at http://%s/debug/vars (pprof under /debug/pprof/)", addr)
-	}
 
 	mesh, err := parseMesh(*meshFlag)
 	if err != nil {
@@ -115,7 +82,7 @@ func main() {
 			network.Bless, network.AFCAlwaysBuffered, network.AFC,
 		}
 	} else {
-		k, ok := kindsByName[*kindFlag]
+		k, ok := cli.KindByName(*kindFlag)
 		if !ok {
 			log.Fatalf("unknown kind %q", *kindFlag)
 		}
@@ -133,35 +100,27 @@ func main() {
 		benches = []cmp.Params{p}
 	}
 
-	kindNames := make([]string, len(kinds))
-	for i, k := range kinds {
-		kindNames[i] = k.String()
-	}
-	ob := obs.New(obs.Config{
-		Command:  "afcsim",
-		Args:     os.Args[1:],
-		Workers:  *parallel,
-		Kinds:    kindNames,
-		Seeds:    []int64{*seed},
-		Manifest: *manifest != "",
-		Progress: *progress,
-		Metrics:  metrics,
+	sys := config.DefaultWithMesh(mesh)
+	sys.Baseline.RealisticVCA = *realVCA
+	opt := run.Options(experiments.Options{
+		Seeds:      []int64{*seed},
+		WarmupTx:   *warmup,
+		MeasureTx:  *tx,
+		CycleLimit: *limit,
+		System:     sys,
 	})
-	// finish flushes every enabled observer; it must run on the error
-	// paths too, so the manifest of a failed sweep is still written.
-	finish := func() {
-		ob.Finish()
-		if err := ob.WriteManifestFile(*manifest); err != nil {
-			log.Print(err)
-		}
-		if err := obs.WriteHeapProfile(*memprof); err != nil {
-			log.Print(err)
-		}
-		stopCPU()
+	pol := router.PolicyRandom
+	if *oldest {
+		pol = router.PolicyOldest
 	}
+	ob, finish, err := run.Start("afcsim", kinds, opt.Seeds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt.Obs = ob
 
 	if *scenarioF != "" {
-		if err := runScenario(*scenarioF, kinds, mesh, *seed, *parallel, *checked, *dense, *nopool, *shards, ob); err != nil {
+		if err := runScenario(*scenarioF, kinds, opt); err != nil {
 			finish()
 			log.Fatal(err)
 		}
@@ -171,7 +130,7 @@ func main() {
 
 	if *replayOf != "" {
 		for _, k := range kinds {
-			if err := replayOne(*replayOf, k, *seed, *checked, *dense, *nopool, *shards, ob); err != nil {
+			if err := replayOne(os.Stdout, *replayOf, k, pol, opt); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -182,11 +141,7 @@ func main() {
 	fmt.Printf("%-8s %-26s %8s %9s %9s %8s %10s %7s %7s %8s %6s\n",
 		"bench", "kind", "inj", "cycles", "tx/cycle", "netlat",
 		"energy", "buf%", "link%", "bufmode", "defl")
-	pol := router.PolicyRandom
-	if *oldest {
-		pol = router.PolicyOldest
-	}
-	pool := runner.Options{Parallelism: *parallel}
+	pool := runner.Options{Parallelism: opt.Parallelism}
 	if *recordTo != "" {
 		// Every run writes the same trace file; keep them ordered.
 		pool.Parallelism = 1
@@ -200,7 +155,7 @@ func main() {
 			p.WritebackPreAlloc = true
 		}
 		var buf bytes.Buffer
-		if err := runOne(&buf, p, k, mesh, pol, *realVCA, *seed, *warmup, *tx, *limit, *recordTo, *checked, *dense, *nopool, *shards, ob); err != nil {
+		if err := runOne(&buf, p, k, pol, *recordTo, opt); err != nil {
 			return nil, err
 		}
 		return &buf, nil
@@ -218,29 +173,19 @@ func main() {
 // runScenario runs a scenario spec across the selected kinds and prints
 // the per-phase completion-time report. The spec's timeline replaces the
 // closed-loop workload entirely.
-func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, parallel int, checked, dense, nopool bool, shards int, ob *obs.Observer) error {
+func runScenario(path string, kinds []network.Kind, opt experiments.Options) error {
 	spec, err := scenario.ParseFile(path)
 	if err != nil {
 		return err
 	}
-	if err := spec.ValidateFor(mesh); err != nil {
+	if err := spec.ValidateFor(opt.System.Mesh); err != nil {
 		return err
-	}
-	opt := experiments.Options{
-		Seeds:       []int64{seed},
-		Parallelism: parallel,
-		Check:       checked,
-		Dense:       dense,
-		NoPool:      nopool,
-		Shards:      shards,
-		System:      config.DefaultWithMesh(mesh),
-		Obs:         ob,
 	}
 	rs, err := experiments.Scenario(kinds, spec, opt)
 	if err != nil {
 		return err
 	}
-	ob.RecordScenario(spec, rs)
+	opt.Obs.RecordScenario(spec, rs)
 	experiments.WriteScenario(os.Stdout, spec.Name, rs)
 	return nil
 }
@@ -256,24 +201,18 @@ func parseMesh(s string) (topology.Mesh, error) {
 
 // runOne executes one bench/kind cell and writes its report rows to w
 // (a per-cell buffer under parallel execution, so rows never interleave).
-func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol router.DeflectPolicy, realVCA bool, seed int64, warmup, tx, limit uint64, recordTo string, checked, dense, nopool bool, shards int, ob *obs.Observer) error {
-	sys := config.DefaultWithMesh(mesh)
-	sys.Baseline.RealisticVCA = realVCA
-	net := network.New(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true, Policy: pol, DenseKernel: dense, NoPool: nopool, Shards: shards})
+func runOne(w io.Writer, p cmp.Params, k network.Kind, pol router.DeflectPolicy, recordTo string, opt experiments.Options) error {
+	net := opt.NewNetwork(network.Config{Kind: k, Seed: opt.Seeds[0], MeterEnergy: true, Policy: pol})
 	defer net.Close()
-	if checked {
-		check.Attach(net)
-	}
-	ob.Sample(net)
 	var tr *trace.Trace
 	if recordTo != "" {
 		tr = trace.Record(net)
 	}
 	workload := cmp.NewSystem(net, p, net.RandStream)
-	res, ok := workload.Measure(warmup, tx, limit)
+	res, ok := workload.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
 	if !ok {
 		return fmt.Errorf("%s on %s: cycle limit %d exceeded (completed %d transactions)",
-			p.Name, k, limit, workload.CompletedTransactions())
+			p.Name, k, opt.CycleLimit, workload.CompletedTransactions())
 	}
 	e := net.TotalEnergy()
 	ms := net.ModeStats()
@@ -302,29 +241,26 @@ func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol r
 }
 
 // replayOne feeds a recorded trace open-loop into a fresh network of the
-// given kind and reports the trace-driven (no-feedback) metrics.
-func replayOne(path string, k network.Kind, seed int64, checked, dense, nopool bool, shards int, ob *obs.Observer) error {
+// given kind, on the same system and policy runOne uses, and writes the
+// trace-driven (no-feedback) metrics to w.
+func replayOne(w io.Writer, path string, k network.Kind, pol router.DeflectPolicy, opt experiments.Options) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	net := network.New(network.Config{Kind: k, Seed: seed, MeterEnergy: true, DenseKernel: dense, NoPool: nopool, Shards: shards})
+	net := opt.NewNetwork(network.Config{Kind: k, Seed: opt.Seeds[0], MeterEnergy: true, Policy: pol})
 	defer net.Close()
 	tr, err := trace.Read(f, net.Nodes())
 	if err != nil {
 		return err
 	}
-	if checked {
-		check.Attach(net)
-	}
-	ob.Sample(net)
 	rp := trace.NewReplayer(net, tr)
 	net.AddTicker(rp)
 	limit := tr.Duration() + 500_000
 	done := net.RunUntil(func() bool { return rp.Done() && net.Drained() }, limit)
 	backlog := net.CreatedPackets() - net.DeliveredPackets()
-	fmt.Printf("replay    %-26s packets=%d delivered=%d backlog=%d netlat=%.1f drained=%v\n",
+	fmt.Fprintf(w, "replay    %-26s packets=%d delivered=%d backlog=%d netlat=%.1f drained=%v\n",
 		k, net.CreatedPackets(), net.DeliveredPackets(), backlog, net.MeanNetLatency(), done)
 	return nil
 }

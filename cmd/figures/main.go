@@ -37,13 +37,11 @@ import (
 	"os"
 	"strings"
 
-	invcheck "afcnet/internal/check"
+	"afcnet/internal/cli"
 	"afcnet/internal/cmp"
 	"afcnet/internal/config"
 	"afcnet/internal/experiments"
 	"afcnet/internal/network"
-	"afcnet/internal/obs"
-	"afcnet/internal/runner"
 	"afcnet/internal/scenario"
 )
 
@@ -56,16 +54,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced run lengths")
 		svgDir    = flag.String("svg", "", "also render the main figures as SVG into this directory")
 		jsonOut   = flag.String("json", "", "run the complete evaluation and write it as JSON to this file")
-		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked   = flag.Bool("check", invcheck.FromEnv(), "attach the runtime invariant checker to every run (or set AFCSIM_CHECK=1); identical results, slower")
-		dense     = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
-		nopool    = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
-		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		run       = cli.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	// -scenario alone runs just the scenario; combine with an explicit
@@ -76,51 +65,19 @@ func main() {
 		*fig = "none"
 	}
 
-	stopCPU, err := obs.StartCPUProfile(*cpuprof)
+	base := experiments.Default()
+	if *quick {
+		base = experiments.Quick()
+	}
+	opt := run.Options(base)
+	ob, finish, err := run.Start("figures", nil, opt.Seeds)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var metrics *obs.Metrics
-	if *debugAddr != "" {
-		metrics = &obs.Metrics{}
-		addr, err := obs.ServeDebug(*debugAddr, metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug endpoint at http://%s/debug/vars (pprof under /debug/pprof/)", addr)
-	}
-
-	opt := experiments.Default()
-	if *quick {
-		opt = experiments.Quick()
-	}
-	opt.Parallelism = *parallel
-	opt.Check = *checked
-	opt.Dense = *dense
-	opt.NoPool = *nopool
-	opt.Shards = *shards
-	ob := obs.New(obs.Config{
-		Command:  "figures",
-		Args:     os.Args[1:],
-		Workers:  *parallel,
-		Seeds:    opt.Seeds,
-		Manifest: *manifest != "",
-		Progress: *progress,
-		Metrics:  metrics,
-	})
 	opt.Obs = ob
 	// check() runs this before log.Fatal (which skips defers), so a
 	// failed run still leaves its manifest and profiles behind.
-	finishObs = func() {
-		ob.Finish()
-		if err := ob.WriteManifestFile(*manifest); err != nil {
-			log.Print(err)
-		}
-		if err := obs.WriteHeapProfile(*memprof); err != nil {
-			log.Print(err)
-		}
-		stopCPU()
-	}
+	finishObs = finish
 	defer finishObs()
 
 	want := func(name string) bool {

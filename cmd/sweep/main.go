@@ -32,15 +32,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
-	"afcnet/internal/check"
+	"afcnet/internal/cli"
 	"afcnet/internal/config"
 	"afcnet/internal/experiments"
 	"afcnet/internal/network"
-	"afcnet/internal/obs"
-	"afcnet/internal/runner"
 	"afcnet/internal/scenario"
 	"afcnet/internal/topology"
 	"afcnet/internal/traffic"
@@ -57,15 +56,6 @@ var patterns = map[string]func(topology.Mesh) traffic.Pattern{
 	},
 }
 
-var kindsByName = map[string]network.Kind{
-	"backpressured":    network.Backpressured,
-	"ideal-bypass":     network.BackpressuredIdealBypass,
-	"backpressureless": network.Bless,
-	"drop":             network.BlessDrop,
-	"afc":              network.AFC,
-	"afc-always-bp":    network.AFCAlwaysBuffered,
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
@@ -79,36 +69,16 @@ func main() {
 		seeds     = flag.Int("seeds", 2, "repeated runs per point")
 		warmup    = flag.Uint64("warmup", 10_000, "warmup cycles")
 		measure   = flag.Uint64("measure", 30_000, "measurement cycles")
-		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked   = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker to every run (or set AFCSIM_CHECK=1); identical results, slower")
-		dense     = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
-		nopool    = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
-		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		run       = cli.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
-	stopCPU, err := obs.StartCPUProfile(*cpuprof)
-	if err != nil {
+	if err := checkRange(*minRate, *maxRate, *step, *seeds); err != nil {
 		log.Fatal(err)
 	}
-	var metrics *obs.Metrics
-	if *debugAddr != "" {
-		metrics = &obs.Metrics{}
-		addr, err := obs.ServeDebug(*debugAddr, metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug endpoint at http://%s/debug/vars (pprof under /debug/pprof/)", addr)
-	}
-
 	var kinds []network.Kind
 	for _, name := range strings.Split(*kindList, ",") {
-		k, ok := kindsByName[strings.TrimSpace(name)]
+		k, ok := cli.KindByName(strings.TrimSpace(name))
 		if !ok {
 			log.Fatalf("unknown kind %q", name)
 		}
@@ -118,45 +88,18 @@ func main() {
 	for r := *minRate; r <= *maxRate+1e-9; r += *step {
 		rates = append(rates, r)
 	}
-	opt := experiments.Default()
+	opt := run.Options(experiments.Default())
 	opt.Seeds = opt.Seeds[:0]
 	for s := 0; s < *seeds; s++ {
 		opt.Seeds = append(opt.Seeds, int64(s+1))
 	}
 	opt.OpenLoopWarmup = *warmup
 	opt.OpenLoopMeasure = *measure
-	opt.Parallelism = *parallel
-	opt.Check = *checked
-	opt.Dense = *dense
-	opt.NoPool = *nopool
-	opt.Shards = *shards
-
-	kindNames := make([]string, len(kinds))
-	for i, k := range kinds {
-		kindNames[i] = k.String()
+	ob, finish, err := run.Start("sweep", kinds, opt.Seeds)
+	if err != nil {
+		log.Fatal(err)
 	}
-	ob := obs.New(obs.Config{
-		Command:  "sweep",
-		Args:     os.Args[1:],
-		Workers:  *parallel,
-		Kinds:    kindNames,
-		Seeds:    opt.Seeds,
-		Manifest: *manifest != "",
-		Progress: *progress,
-		Metrics:  metrics,
-	})
 	opt.Obs = ob
-
-	finish := func() {
-		ob.Finish()
-		if err := ob.WriteManifestFile(*manifest); err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteHeapProfile(*memprof); err != nil {
-			log.Fatal(err)
-		}
-		stopCPU()
-	}
 
 	if *scenarioF != "" {
 		spec, err := scenario.ParseFile(*scenarioF)
@@ -185,4 +128,20 @@ func main() {
 	finish()
 	experiments.WriteSweep(os.Stdout, pts)
 	fmt.Println("note: 'saturated' means mean total latency (including source queueing) exceeded the bound; see internal/experiments.")
+}
+
+// checkRange rejects the sweep bounds and seed counts that would build
+// no cells or never stop building rates.
+func checkRange(minRate, maxRate, step float64, seeds int) error {
+	switch {
+	case !(step > 0):
+		return fmt.Errorf("-step must be > 0, got %v", step)
+	case !(minRate > 0):
+		return fmt.Errorf("-min must be > 0, got %v", minRate)
+	case !(maxRate >= minRate) || math.IsInf(maxRate, 1):
+		return fmt.Errorf("-max must be finite and >= -min, got -min %v -max %v", minRate, maxRate)
+	case seeds < 1:
+		return fmt.Errorf("-seeds must be >= 1, got %d", seeds)
+	}
+	return nil
 }

@@ -151,7 +151,7 @@ type Router struct {
 	// maintained at every credit/tracking mutation. It makes
 	// gossipTriggered — called from Quiescent every cycle since the
 	// sharded tick landed — a register compare instead of a per-VN scan
-	// over the down array (the BENCH_4 low-load regression).
+	// over the down array (that scan was a measured low-load regression).
 	gossipLow int
 	// misrouteThreshold selects the rejected cumulative-misroute switch
 	// policy when positive (see Options.MisrouteThreshold).

@@ -131,7 +131,7 @@ func AblationThresholds(scales []float64, opt Options) ([]ThresholdRow, error) {
 		if err != nil {
 			return o, err
 		}
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.AFC, Seed: seed, MeterEnergy: true})
+		net := opt.NewNetwork(network.Config{System: sys, Kind: network.AFC, Seed: seed, MeterEnergy: true})
 		s := cmp.NewSystem(net, low, net.RandStream)
 		if _, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit); !ok {
 			return o, fmt.Errorf("threshold ablation: %s timed out at scale %g", low.Name, sc)
@@ -144,7 +144,7 @@ func AblationThresholds(scales []float64, opt Options) ([]ThresholdRow, error) {
 		if err != nil {
 			return o, err
 		}
-		net2 := opt.newNetwork(network.Config{System: sys, Kind: network.AFC, Seed: seed, MeterEnergy: true})
+		net2 := opt.NewNetwork(network.Config{System: sys, Kind: network.AFC, Seed: seed, MeterEnergy: true})
 		s2 := cmp.NewSystem(net2, high, net2.RandStream)
 		res2, ok := s2.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
 		if !ok {
@@ -209,13 +209,13 @@ func AblationEjectWidth(widths []int, opt Options) ([]EjectRow, error) {
 		seed := opt.Seeds[i%ns]
 		sys := config.Default()
 		sys.EjectWidth = w
-		baseNet := opt.newNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: false})
+		baseNet := opt.NewNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: false})
 		bs := cmp.NewSystem(baseNet, high, baseNet.RandStream)
 		baseRes, ok := bs.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
 		if !ok {
 			return 0, fmt.Errorf("eject ablation: baseline timed out at width %d", w)
 		}
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.Bless, Seed: seed, MeterEnergy: false})
+		net := opt.NewNetwork(network.Config{System: sys, Kind: network.Bless, Seed: seed, MeterEnergy: false})
 		s := cmp.NewSystem(net, high, net.RandStream)
 		res, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
 		if !ok {
@@ -284,7 +284,7 @@ func AblationBaselineSizing(opt Options) ([]BaselineConfigRow, error) {
 		sys := config.Default()
 		sys.Baseline.VCsPerVN = v.vcs
 		sys.Baseline.BufDepth = v.depth
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: true})
+		net := opt.NewNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: true})
 		s := cmp.NewSystem(net, high, net.RandStream)
 		res, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
 		if !ok {
@@ -361,7 +361,7 @@ func AblationPipeline(opt Options) ([]PipelineRow, error) {
 		}
 		sys := config.Default()
 		sys.Baseline.RealisticVCA = true
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: false})
+		net := opt.NewNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: false})
 		s := cmp.NewSystem(net, p, net.RandStream)
 		realistic, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
 		if !ok {
@@ -444,7 +444,7 @@ func AblationContentionMetric(opt Options) []ContentionMetricRow {
 	outs, err := runner.Map(len(policies)*ns, opt.pool(), func(i int) (metricOut, error) {
 		misroute := policies[i/ns].threshold
 		seed := opt.Seeds[i%ns]
-		net := opt.newNetwork(network.Config{
+		net := opt.NewNetwork(network.Config{
 			System: sys, Kind: network.AFC, Seed: seed,
 			MisrouteThreshold: misroute,
 		})

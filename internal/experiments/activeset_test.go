@@ -34,7 +34,7 @@ type activeSetSnap struct {
 // measurement window followed by a drain phase — the drain exercises
 // whole-kernel fast-forward (RunUntil coasting between wake edges).
 func activeSetCell(kind network.Kind, seed int64, rate float64, opt Options) activeSetSnap {
-	net := opt.newNetwork(network.Config{Kind: kind, Seed: seed, MeterEnergy: true})
+	net := opt.NewNetwork(network.Config{Kind: kind, Seed: seed, MeterEnergy: true})
 	gen := traffic.NewGenerator(net, traffic.Config{Rate: rate}, net.RandStream)
 	net.AddTicker(gen)
 	net.Run(opt.OpenLoopWarmup)

@@ -74,11 +74,20 @@ type Options struct {
 	Shards int
 }
 
-// newNetwork builds one cell's network, attaching an invariant checker
-// when opt.Check is set and a counter sampler when opt.Obs collects
-// metrics. Each cell owns its attachments, so observed runs parallelize
-// exactly like plain ones.
-func (o Options) newNetwork(cfg network.Config) *network.Network {
+// NewNetwork builds one cell's network, attaching an invariant checker
+// when opt.Check is set and a counter sampler and barrier timer when
+// opt.Obs observes. Each cell owns its attachments, so observed runs
+// parallelize exactly like plain ones.
+func (o Options) NewNetwork(cfg network.Config) *network.Network {
+	net := network.New(o.cellConfig(cfg))
+	o.attach(net)
+	return net
+}
+
+// cellConfig fills the run-wide fields of a cell's network
+// configuration from the options; a cell that sets its own System,
+// DenseKernel, NoPool or Shards keeps it.
+func (o Options) cellConfig(cfg network.Config) network.Config {
 	if cfg.System.Mesh.Width == 0 {
 		cfg.System = o.System
 	}
@@ -87,13 +96,17 @@ func (o Options) newNetwork(cfg network.Config) *network.Network {
 	if cfg.Shards <= 1 {
 		cfg.Shards = o.Shards
 	}
-	net := network.New(cfg)
+	return cfg
+}
+
+// attach attaches the checker, the counter sampler and the barrier timer
+// the options ask for, in that order.
+func (o Options) attach(net *network.Network) {
 	if o.Check {
 		check.Attach(net)
 	}
 	o.Obs.Sample(net)
 	o.Obs.ObserveBarrier(net)
-	return net
 }
 
 // workerEnt is one worker's reusable simulation stack for one network
@@ -136,29 +149,18 @@ func (o Options) oneShot() *workerState {
 // acquire returns a ready network for cfg: the worker's previous network
 // of the same kind rewound in place when the configuration allows (same
 // everything but Seed), a fresh build otherwise. Checker and sampler are
-// attached in the same order as newNetwork, so the kernel's ticker list
-// and the seed source's stream numbering are identical on both paths. A
-// rebuilt entry has nil sys/gen — the caller's cue to construct its
-// traffic layer instead of reattaching it.
+// attached as by NewNetwork, so the kernel's ticker list and the seed
+// source's stream numbering are identical on both paths. A rebuilt entry
+// has nil sys/gen — the caller's cue to construct its traffic layer
+// instead of reattaching it.
 func (w *workerState) acquire(cfg network.Config) *workerEnt {
-	if cfg.System.Mesh.Width == 0 {
-		cfg.System = w.opt.System
-	}
-	cfg.DenseKernel = cfg.DenseKernel || w.opt.Dense
-	cfg.NoPool = cfg.NoPool || w.opt.NoPool
-	if cfg.Shards <= 1 {
-		cfg.Shards = w.opt.Shards
-	}
+	cfg = w.opt.cellConfig(cfg)
 	e := w.ents[cfg.Kind]
 	if e == nil || !e.net.Reset(cfg) {
 		e = &workerEnt{net: network.New(cfg)}
 		w.ents[cfg.Kind] = e
 	}
-	if w.opt.Check {
-		check.Attach(e.net)
-	}
-	w.opt.Obs.Sample(e.net)
-	w.opt.Obs.ObserveBarrier(e.net)
+	w.opt.attach(e.net)
 	return e
 }
 

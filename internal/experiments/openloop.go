@@ -312,7 +312,7 @@ type GossipResult struct {
 // routers stay backpressureless, then lets it drain and checks no flit
 // was lost.
 func GossipHotspot(seed int64, opt Options) GossipResult {
-	net := opt.newNetwork(network.Config{Kind: network.AFC, Seed: seed, MeterEnergy: false})
+	net := opt.NewNetwork(network.Config{Kind: network.AFC, Seed: seed, MeterEnergy: false})
 	mesh := net.Mesh()
 	gen := traffic.NewGenerator(net, traffic.Config{
 		Pattern: traffic.Hotspot{Mesh: mesh, Hot: mesh.Node(1, 1), Frac: 0.7},

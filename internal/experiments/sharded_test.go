@@ -18,7 +18,7 @@ import (
 // everything a cell measures. The mesh is 8x8 rather than the paper's
 // 3x3 so shard count 8 is genuinely eight bands, not a clamp.
 func shardedCell(kind network.Kind, seed int64, rate float64, shards int, opt Options) activeSetSnap {
-	net := opt.newNetwork(network.Config{
+	net := opt.NewNetwork(network.Config{
 		Kind: kind, Seed: seed, MeterEnergy: true, Shards: shards,
 		System: config.DefaultWithMesh(topology.NewMesh(8, 8)),
 	})

@@ -31,8 +31,8 @@ func NoPoolFromEnv() bool {
 
 // ShardsEnvVar sets the default shard count of the sharded tick in every
 // harness that consults ShardsFromEnv (cmd/afcsim, cmd/figures,
-// cmd/sweep, cmd/benchjson). Values <= 1 (or anything unparseable) keep
-// the serial reference path.
+// cmd/sweep). Values <= 1 (or anything unparseable) keep the serial
+// reference path.
 const ShardsEnvVar = "AFCSIM_SHARDS"
 
 // ShardsFromEnv returns the shard count requested via AFCSIM_SHARDS, or

@@ -5,7 +5,6 @@
 package network
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -398,12 +397,12 @@ func (n *Network) houseKeep(now uint64) {
 		nif.SampleQueues()
 	}
 	for len(n.nacks) > 0 && n.nacks[0].due <= now {
-		e := heap.Pop(&n.nacks).(nackEntry)
+		e := n.nacks.pop()
 		switch n.nis[e.src].Retransmit(now, e.pkt) {
 		case ni.RetransmitDeferred:
 			// The current copy is still draining out of the source; retry
 			// shortly — dropping this NACK would stall the packet.
-			heap.Push(&n.nacks, nackEntry{due: now + 32, src: e.src, pkt: e.pkt})
+			n.nacks.push(nackEntry{due: now + 32, src: e.src, pkt: e.pkt})
 		default:
 			delete(n.nackPending, e.pkt)
 		}
@@ -612,7 +611,7 @@ func (n *Network) scheduleNack(now uint64, node, src topology.NodeID, pkt uint64
 	}
 	delay <<= uint(epoch)
 	n.nackPending[pkt] = true
-	heap.Push(&n.nacks, nackEntry{due: now + delay, src: src, pkt: pkt})
+	n.nacks.push(nackEntry{due: now + delay, src: src, pkt: pkt})
 }
 
 type nackEntry struct {
@@ -621,18 +620,48 @@ type nackEntry struct {
 	pkt uint64
 }
 
+// nackHeap is a min-heap on due with container/heap's exact sift order
+// (so ties among equal due times pop in the same order) but no interface
+// boxing, which cost two allocations per NACK.
 type nackHeap []nackEntry
 
-func (h nackHeap) Len() int            { return len(h) }
-func (h nackHeap) Less(i, j int) bool  { return h[i].due < h[j].due }
-func (h nackHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nackHeap) Push(x interface{}) { *h = append(*h, x.(nackEntry)) }
-func (h *nackHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *nackHeap) push(e nackEntry) {
+	*h = append(*h, e)
+	hs := *h
+	i := len(hs) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if hs[parent].due <= hs[i].due {
+			break
+		}
+		hs[parent], hs[i] = hs[i], hs[parent]
+		i = parent
+	}
+}
+
+func (h *nackHeap) pop() nackEntry {
+	hs := *h
+	n := len(hs) - 1
+	hs[0], hs[n] = hs[n], hs[0]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && hs[r].due < hs[l].due {
+			j = r
+		}
+		if hs[i].due <= hs[j].due {
+			break
+		}
+		hs[i], hs[j] = hs[j], hs[i]
+		i = j
+	}
+	top := hs[n]
+	*h = hs[:n]
+	return top
 }
 
 // MarshalJSON encodes the kind as its string name, so exported experiment
