@@ -84,6 +84,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzShardBarrier$$' -fuzztime=10s ./internal/network
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzQuiescentContract$$' -fuzztime=10s ./internal/vcrouter
+	$(GO) test -run='^$$' -fuzz='^FuzzQuiescentContract$$' -fuzztime=10s ./internal/deflect
+	$(GO) test -run='^$$' -fuzz='^FuzzQuiescentContract$$' -fuzztime=10s ./internal/core
 
 # One tiny sweep with every observability flag on: the run must succeed,
 # leave a heap profile behind, and produce a manifest that records the

@@ -225,12 +225,6 @@ func (c *Checker) Tick(now uint64) {
 	}
 }
 
-// flitHolder is implemented by every router kind; it exposes the flits
-// a router currently holds.
-type flitHolder interface {
-	ForEachFlit(func(*flit.Flit))
-}
-
 // checkConservationAndAges verifies global flit conservation — every
 // flit ever injected is buffered, latched, in flight on a link, ejected,
 // or (drop variant) dropped pending NACK retransmission — and bounds the
@@ -257,7 +251,7 @@ func (c *Checker) checkConservationAndAges(now uint64) {
 		nif := c.net.NI(topology.NodeID(node))
 		injected += nif.TotalInjectedFlits()
 		ejected += nif.TotalEjectedFlits()
-		c.net.Router(topology.NodeID(node)).(flitHolder).ForEachFlit(countFlit)
+		c.net.Router(topology.NodeID(node)).ForEachFlit(countFlit)
 	}
 	for ei := range c.edges {
 		e := &c.edges[ei]

@@ -121,11 +121,9 @@ func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
 			r.meter.BufRead()
 		}
 		if in != topology.Local && !r.deadOut[in] {
-			if pl := r.wires.Ports[in]; pl.CreditOut != nil {
-				pl.CreditOut.Send(now, link.Credit{VC: c.slot, VN: f.VN})
-				if r.meter != nil {
-					r.meter.Credit()
-				}
+			r.wires.Ports[in].CreditOut.Send(now, link.Credit{VC: c.slot, VN: f.VN})
+			if r.meter != nil {
+				r.meter.Credit()
 			}
 		}
 	}

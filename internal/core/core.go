@@ -56,6 +56,7 @@ import (
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
 	"afcnet/internal/router"
+	"afcnet/internal/sim"
 	"afcnet/internal/stats"
 	"afcnet/internal/topology"
 )
@@ -122,8 +123,8 @@ type latched struct {
 // kilonode regime — costs the first few cache lines of its slab slot
 // and nothing else. The middle section is the active-tick working set,
 // and the tail is cold configuration, fault and stats state read only
-// inside ticks that do real work. Routers are normally carved from a
-// Slab in ascending node order (band-major for the sharded tick's row
+// inside ticks that do real work. Routers are carved from a Slab in
+// ascending node order (band-major for the sharded tick's row
 // bands), so sweeps over the bank stream through one contiguous array
 // instead of chasing a heap object per node.
 type Router struct {
@@ -156,12 +157,11 @@ type Router struct {
 	// misrouteThreshold selects the rejected cumulative-misroute switch
 	// policy when positive (see Options.MisrouteThreshold).
 	misrouteThreshold int
-	// inbox, when non-nil, is this router's slot of the network's
-	// per-node aggregate in-flight slab (link.Pipe.SetTally), split by
-	// pipe class: [0] data, [1] credit, [2] ctrl. One cache line then
-	// replaces Quiescent's twelve-pipe pointer chase, and each receive
-	// scan skips outright when its own class shows nothing in flight;
-	// nil (standalone construction) falls back to the pipe scans.
+	// inbox is this router's slot of the network's per-node aggregate
+	// in-flight slab (router.Site), split by pipe class: [0] data,
+	// [1] credit, [2] ctrl. One cache line replaces Quiescent's
+	// twelve-pipe pointer chase, and each receive scan skips outright
+	// when its own class shows nothing in flight.
 	inbox   *[3]int32
 	monitor stats.IntensityMonitor
 	latches []latched
@@ -215,14 +215,13 @@ type Router struct {
 	deadOut [topology.NumDirs]bool
 
 	// dor is node's precomputed DOR next-hop table, indexed by
-	// destination. With slab construction it is a view into the
-	// network's shared topology.Tables — one O(N²) table per mesh, not
-	// per router.
+	// destination: a view into the network's shared topology.Tables —
+	// one O(N²) table per mesh, not per router.
 	dor []topology.Dir
 	// nbr lists the directions with a wired neighbor (data, credit and
 	// control pipes all exist exactly there), so the per-cycle receive
 	// loops skip the empty ports of edge and corner routers. Shared
-	// storage under slab construction, like dor.
+	// storage, like dor.
 	nbr   []topology.Dir
 	wires router.Wires
 	src   router.LocalSource
@@ -234,7 +233,6 @@ type Router struct {
 
 	// --- cold config/fault/stats tail ---
 
-	mesh       topology.Mesh
 	node       topology.NodeID
 	cfg        config.AFC
 	linkLat    int
@@ -273,12 +271,6 @@ type Options struct {
 	// network region, because a deflected flit trips the threshold only
 	// after it has left the hot region — is demonstrated by ablation A7.
 	MisrouteThreshold int
-	// Tables, when non-nil, provides the shared per-mesh route tables
-	// and neighbor lists: the router's dor/nbr slices and its
-	// deflector's full route table become views into the shared backing
-	// instead of private O(N) / O(N²) copies. Nil (standalone
-	// construction) builds private tables from the mesh.
-	Tables *topology.Tables
 }
 
 // Slab is a contiguous bank of AFC routers: the Router structs occupy
@@ -297,14 +289,16 @@ type Slab struct {
 	vnSlots    [flit.NumVNs][]int
 	totalSlots int
 	escCap     int
+	cfg        config.AFC
+	linkLat    int
 	next       int
 }
 
-// NewSlab returns a slab with room for count routers; cfg fixes the
-// SRAM geometry and linkLatency the escape-latch capacity (both must
-// match the subsequent New calls).
+// NewSlab returns a slab with room for count routers of configuration
+// cfg on links of latency linkLatency (which fixes the escape-latch
+// capacity).
 func NewSlab(count int, cfg config.AFC, linkLatency int) *Slab {
-	s := &Slab{escCap: 2*linkLatency + 1}
+	s := &Slab{escCap: 2*linkLatency + 1, cfg: cfg, linkLat: linkLatency}
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
 		for i := 0; i < cfg.VCsPerVN[vn]; i++ {
 			s.vnSlots[vn] = append(s.vnSlots[vn], s.totalSlots)
@@ -317,36 +311,24 @@ func NewSlab(count int, cfg config.AFC, linkLatency int) *Slab {
 	return s
 }
 
-// New returns a standalone AFC router at node (a slab of one). rng
-// drives deflection arbitration.
-func New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, linkLatency, ejectWidth int,
-	rng *rand.Rand, wires router.Wires, src router.LocalSource, sink router.LocalSink,
-	meter *energy.Meter, opts Options) *Router {
-	return NewSlab(1, cfg, linkLatency).New(mesh, node, cfg, linkLatency, ejectWidth,
-		rng, wires, src, sink, meter, opts)
-}
-
-// New carves the next router from the slab and initializes it at node.
-// It panics when the slab is exhausted. rng drives deflection
-// arbitration.
-func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, linkLatency, ejectWidth int,
-	rng *rand.Rand, wires router.Wires, src router.LocalSource, sink router.LocalSink,
-	meter *energy.Meter, opts Options) *Router {
-
+// New carves the next router from the slab and builds it at site. It
+// panics when the slab is exhausted. rng drives deflection arbitration.
+func (s *Slab) New(site router.Site, rng *rand.Rand, opts Options) *Router {
 	if s.next >= len(s.routers) {
 		panic("core: router slab exhausted")
 	}
 	r := &s.routers[s.next]
-	r.mesh = mesh
-	r.node = node
-	r.wires = wires
-	r.src = src
-	r.sink = sink
-	r.meter = meter
+	cfg := s.cfg
+	r.node = site.Node
+	r.wires = site.Wires
+	r.inbox = site.Inbox
+	r.src = site.NI
+	r.sink = site.NI
+	r.meter = site.Meter
 	r.cfg = cfg
-	r.linkLat = linkLatency
-	r.ejectWidth = ejectWidth
-	r.th = cfg.ThresholdsByPosition[mesh.Position(node)]
+	r.linkLat = s.linkLat
+	r.ejectWidth = site.EjectWidth
+	r.th = cfg.ThresholdsByPosition[site.Tables.Mesh().Position(r.node)]
 	r.alwaysBuffered = opts.AlwaysBuffered
 	r.misrouteThreshold = opts.MisrouteThreshold
 	r.monitor.Init(cfg.EWMAWeight)
@@ -354,16 +336,12 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 	r.vnSlots = s.vnSlots
 	r.totalSlots = s.totalSlots
 
-	var routes topology.RouteTable
-	if opts.Tables != nil {
-		routes = opts.Tables.Routes(node)
-	} else {
-		routes = mesh.Routes(node)
-	}
 	// The deflector shares the same table — before the shared-tables
 	// layout each AFC router built two private O(N²) copies.
-	r.defl.Init(mesh, node, opts.Policy, rng, routes)
+	routes := site.Routes()
+	r.defl.Init(r.node, opts.Policy, rng, routes)
 	r.dor = routes.DOR
+	r.nbr = site.Neighbors()
 
 	r.occValid = r.totalSlots <= 64
 	if r.occValid {
@@ -378,50 +356,30 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 		lo := (base + p) * s.totalSlots
 		r.in[p] = s.slots[lo : lo+s.totalSlots : lo+s.totalSlots]
 		elo := (base + p) * s.escCap
-		r.esc[p] = s.escs[elo:elo : elo+s.escCap]
+		r.esc[p] = s.escs[elo : elo : elo+s.escCap]
 		r.inArb[p].Init(r.totalSlots)
 		r.outArb[p].Init(topology.NumPorts)
 	}
-	r.inj.Init(src)
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if wires.Ports[d].Exists() {
-			r.wired |= 1 << d
-		}
+	r.inj.Init(site.NI)
+	for _, d := range r.nbr {
+		r.wired |= 1 << d
 	}
-	if opts.Tables != nil {
-		r.nbr = opts.Tables.Neighbors(node)
-	} else {
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if pl := &wires.Ports[d]; pl.In != nil || pl.CreditIn != nil || pl.CtrlIn != nil {
-				r.nbr = append(r.nbr, d)
-			}
-		}
-	}
-
 	if opts.AlwaysBuffered {
 		r.mode = ModeBuffered
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if wires.Ports[d].Exists() {
-				r.down[d] = downstream{tracking: true, credits: cfg.VCsPerVN}
-				r.trackedDirs++
-				r.gossipLow += r.gossipLowFull()
-			}
+		for _, d := range r.nbr {
+			r.down[d] = downstream{tracking: true, credits: cfg.VCsPerVN}
+			r.trackedDirs++
+			r.gossipLow += r.gossipLowFull()
 		}
 	} else {
 		r.mode = ModeBless
-		if meter != nil {
-			meter.SetGated(true)
+		if r.meter != nil {
+			r.meter.SetGated(true)
 		}
 	}
 	s.next++
 	return r
 }
-
-// SetInbox attaches the router's slot of the network's per-node
-// aggregate in-flight slab (see link.Pipe.SetTally); Quiescent then
-// reads one int32 instead of scanning every inbound pipe. Build-time
-// wiring, kept across Reset.
-func (r *Router) SetInbox(t *[3]int32) { r.inbox = t }
 
 // DORTable exposes the router's per-destination DOR table and
 // NeighborDirs its wired-direction list (aliasing tests assert they
@@ -441,11 +399,11 @@ func (r *Router) Node() topology.NodeID { return r.node }
 // Reset rewinds the router to its freshly constructed state, keeping
 // the SRAM slot arrays, escape FIFOs and scratch buffers, and reseeding
 // the deflection randomness with seed (the root of the stream number a
-// fresh construction would have consumed). The meter's gating is
-// re-established to the constructor's choice for the router's starting
-// mode. Part of the cross-cell network-reuse path.
-func (r *Router) Reset(seed int64) {
-	r.defl.Reseed(seed)
+// fresh construction would have consumed, drawn from src). The meter's
+// gating is re-established to the constructor's choice for the router's
+// starting mode. Part of the cross-cell network-reuse path.
+func (r *Router) Reset(src *sim.Source) {
+	r.defl.Reseed(src.StreamSeed())
 	r.monitor.Reset()
 	for p := 0; p < topology.NumPorts; p++ {
 		for s := range r.in[p] {
@@ -475,29 +433,21 @@ func (r *Router) Reset(seed int64) {
 	r.blocked = 0
 	r.deadOut = [topology.NumDirs]bool{}
 	r.dead = false
+	r.down = [topology.NumDirs]downstream{}
+	r.trackedDirs = 0
+	r.gossipLow = 0
 	if r.alwaysBuffered {
 		r.mode = ModeBuffered
-		r.trackedDirs = 0
-		r.gossipLow = 0
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if r.wires.Ports[d].Exists() {
-				r.down[d] = downstream{tracking: true, credits: r.cfg.VCsPerVN}
-				r.trackedDirs++
-				r.gossipLow += r.gossipLowFull()
-			} else {
-				r.down[d] = downstream{}
-			}
+		for _, d := range r.nbr {
+			r.down[d] = downstream{tracking: true, credits: r.cfg.VCsPerVN}
+			r.trackedDirs++
+			r.gossipLow += r.gossipLowFull()
 		}
 		if r.meter != nil {
 			r.meter.SetGated(false)
 		}
 	} else {
 		r.mode = ModeBless
-		r.trackedDirs = 0
-		r.gossipLow = 0
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			r.down[d] = downstream{}
-		}
 		if r.meter != nil {
 			r.meter.SetGated(true)
 		}
@@ -560,6 +510,9 @@ func (r *Router) BufferedFlits() int { return r.held }
 // LatchedFlits returns flits currently in bless-mode pipeline latches.
 func (r *Router) LatchedFlits() int { return len(r.latches) }
 
+// HeldFlits returns every flit the router holds: buffered plus latched.
+func (r *Router) HeldFlits() int { return r.held + len(r.latches) }
+
 // Quiescent implements the kernel's active-set contract (sim.Quiescer).
 // An AFC router may be skipped only when ticking is a provable no-op
 // beyond the per-cycle bookkeeping FastForward replays:
@@ -618,24 +571,9 @@ func (r *Router) Quiescent(now uint64) bool {
 	}
 	// The inbox tallies mirror the summed InFlight of every inbound
 	// pipe at all times (see link.Pipe.SetTally), so one cache line of
-	// loads decides exactly what the pipe scan would.
-	if r.inbox != nil {
-		if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
-			return false
-		}
-	} else {
-		for _, d := range r.nbr {
-			pl := &r.wires.Ports[d]
-			if pl.In != nil && pl.In.InFlight() != 0 {
-				return false
-			}
-			if pl.CreditIn != nil && pl.CreditIn.InFlight() != 0 {
-				return false
-			}
-			if pl.CtrlIn != nil && pl.CtrlIn.InFlight() != 0 {
-				return false
-			}
-		}
+	// loads decides exactly what a pipe scan would.
+	if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
+		return false
 	}
 	return r.inj.Idle()
 }
@@ -742,15 +680,11 @@ func (r *Router) receiveCtrl(now uint64) {
 	// outright. In bless-mode steady state no ctrl traffic exists at
 	// all, so this turns the per-cycle ctrl poll into one load.
 	// (Nonzero does not imply an arrival now — the scan still polls.)
-	if r.inbox != nil && r.inbox[2] == 0 {
+	if r.inbox[2] == 0 {
 		return
 	}
 	for _, d := range r.nbr {
-		pl := &r.wires.Ports[d]
-		if pl.CtrlIn == nil {
-			continue
-		}
-		c, ok := pl.CtrlIn.Recv(now)
+		c, ok := r.wires.Ports[d].CtrlIn.Recv(now)
 		if !ok {
 			continue
 		}
@@ -778,15 +712,11 @@ func (r *Router) receiveCtrl(now uint64) {
 
 // receiveCredits applies credit backflow from tracked neighbors.
 func (r *Router) receiveCredits(now uint64) {
-	if r.inbox != nil && r.inbox[1] == 0 {
+	if r.inbox[1] == 0 {
 		return // see receiveCtrl: no credits in flight toward this node
 	}
 	for _, d := range r.nbr {
-		pl := &r.wires.Ports[d]
-		if pl.CreditIn == nil {
-			continue
-		}
-		c, ok := pl.CreditIn.Recv(now)
+		c, ok := r.wires.Ports[d].CreditIn.Recv(now)
 		if !ok {
 			continue
 		}
@@ -842,17 +772,13 @@ func (r *Router) usableMasks() [flit.NumVNs]uint8 {
 // credit accounting arrive at or after bufferedFrom (see the package
 // comment), so buffering them can never overflow.
 func (r *Router) receive(now uint64) {
-	if r.inbox != nil && r.inbox[0] == 0 {
+	if r.inbox[0] == 0 {
 		return // see receiveCtrl: no flits in flight toward this node
 	}
 	buffered := r.mode == ModeBuffered ||
 		(r.mode == ModeSwitching && now >= r.bufferedFrom)
 	for _, d := range r.nbr {
-		pl := &r.wires.Ports[d]
-		if pl.In == nil {
-			continue
-		}
-		f, ok := pl.In.Recv(now)
+		f, ok := r.wires.Ports[d].In.Recv(now)
 		if !ok {
 			continue
 		}

@@ -8,36 +8,15 @@ import (
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
 	"afcnet/internal/router"
+	"afcnet/internal/router/routertest"
 	"afcnet/internal/topology"
 )
-
-type fakeNI struct {
-	queues    [flit.NumVNs][]*flit.Flit
-	delivered []*flit.Flit
-}
-
-func (f *fakeNI) Peek(vn flit.VN) *flit.Flit {
-	if len(f.queues[vn]) == 0 {
-		return nil
-	}
-	return f.queues[vn][0]
-}
-
-func (f *fakeNI) Pop(vn flit.VN) *flit.Flit {
-	fl := f.Peek(vn)
-	if fl != nil {
-		f.queues[vn] = f.queues[vn][1:]
-	}
-	return fl
-}
-
-func (f *fakeNI) Deliver(_ uint64, fl *flit.Flit) { f.delivered = append(f.delivered, fl) }
 
 const testLinkLat = 2 // L; data links are L+1
 
 type harness struct {
 	r     *Router
-	ni    *fakeNI
+	ni    *routertest.NI
 	now   uint64
 	wires router.Wires
 	mesh  topology.Mesh
@@ -62,23 +41,10 @@ type upstream struct {
 func newHarness(t *testing.T, node topology.NodeID, opts Options) *harness {
 	t.Helper()
 	mesh := topology.NewMesh(3, 3)
-	h := &harness{ni: &fakeNI{}, mesh: mesh, node: node}
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if _, ok := mesh.Neighbor(node, d); !ok {
-			continue
-		}
-		h.wires.Ports[d] = router.PortLinks{
-			Out:       link.NewData(testLinkLat + 1),
-			In:        link.NewData(testLinkLat + 1),
-			CreditOut: link.NewCredit(testLinkLat),
-			CreditIn:  link.NewCredit(testLinkLat),
-			CtrlOut:   link.NewCtrl(testLinkLat),
-			CtrlIn:    link.NewCtrl(testLinkLat),
-		}
-	}
 	cfg := config.Default()
-	h.r = New(mesh, node, cfg.AFC, cfg.LinkLatency, cfg.EjectWidth,
-		rand.New(rand.NewSource(13)), h.wires, h.ni, h.ni, nil, opts)
+	site, ni := routertest.Wire(mesh, node, testLinkLat, cfg.EjectWidth)
+	h := &harness{ni: ni, mesh: mesh, node: node, wires: site.Wires}
+	h.r = NewSlab(1, cfg.AFC, cfg.LinkLatency).New(site, rand.New(rand.NewSource(13)), opts)
 	return h
 }
 
@@ -526,7 +492,7 @@ func TestNoFlitLossAcrossModeSwitches(t *testing.T) {
 		h.tick()
 		received += len(h.recvAll())
 	}
-	received += len(h.ni.delivered)
+	received += len(h.ni.Delivered)
 	if received != sent {
 		t.Fatalf("flit loss across mode switches: in %d, out %d (mode %s, buffered %d, latched %d)",
 			sent, received, h.r.Mode(), h.r.BufferedFlits(), h.r.LatchedFlits())

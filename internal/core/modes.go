@@ -112,12 +112,9 @@ func (r *Router) beginReverseSwitch(now uint64) {
 }
 
 func (r *Router) notifyNeighbors(now uint64, c link.Ctrl) {
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if r.deadOut[d] {
-			continue // dead wire: the notification is lost with the link
-		}
-		if pl := r.wires.Ports[d]; pl.CtrlOut != nil {
-			pl.CtrlOut.Send(now, c)
+	for _, d := range r.nbr {
+		if !r.deadOut[d] { // a dead wire loses the notification
+			r.wires.Ports[d].CtrlOut.Send(now, c)
 		}
 	}
 }

@@ -30,13 +30,17 @@ import (
 	"afcnet/internal/energy"
 	"afcnet/internal/flit"
 	"afcnet/internal/router"
+	"afcnet/internal/sim"
 	"afcnet/internal/topology"
 )
 
 // Nacker carries drop notifications back to packet sources. The paper's
 // drop-based designs (e.g. SCARAB) use a dedicated low-cost NACK network
 // with guaranteed delivery; the network layer implements this interface by
-// scheduling a source retransmission after the NACK's flight time.
+// scheduling a source retransmission after the NACK's flight time. Nack
+// takes ownership of the dropped flit: the retransmission re-packetizes
+// from scratch, so the network retires the flit through the drop node's
+// NI.
 type Nacker interface {
 	Nack(now uint64, f *flit.Flit)
 }
@@ -52,8 +56,8 @@ type latched struct {
 // The field order is a deliberate hot/cold split (see core.Router): the
 // leading fields are what the quiescence probe and FastForward touch
 // every cycle; the tail is cold configuration/fault/stats state.
-// Routers are normally carved from a Slab in ascending node order —
-// band-major for the sharded tick's row bands.
+// Routers are carved from a Slab in ascending node order — band-major
+// for the sharded tick's row bands.
 type Router struct {
 	// --- hot tick-path core (Quiescent + FastForward) ---
 
@@ -62,9 +66,8 @@ type Router struct {
 	// flits stay parked and countable.
 	dead    bool
 	latches []latched
-	// inbox, when non-nil, is this router's slot of the network's
-	// per-node aggregate in-flight slab (link.Pipe.SetTally): one load
-	// replaces Quiescent's pipe scan. Nil falls back to the scan.
+	// inbox is this router's slot of the network's per-node aggregate
+	// in-flight slab (router.Site): one load replaces a pipe scan.
 	inbox *[3]int32
 	meter *energy.Meter
 	inj   router.Injector
@@ -73,10 +76,9 @@ type Router struct {
 
 	defl  router.Deflector
 	flits []*flit.Flit // scratch, parallel prefix of latches
-	// nbr lists the directions with a wired inbound data pipe, so the
-	// per-cycle receive and quiescence loops skip the empty ports of edge
-	// and corner routers. A view into the network's shared
-	// topology.Tables under slab construction.
+	// nbr lists the wired directions, so the per-cycle receive loop
+	// skips the empty ports of edge and corner routers. A view into the
+	// network's shared topology.Tables.
 	nbr []topology.Dir
 
 	// wired marks the outputs with a link (bit d = output d). blocked
@@ -93,16 +95,12 @@ type Router struct {
 
 	wires router.Wires
 	sink  router.LocalSink
-	// nack, non-nil in drop mode, carries drop notifications to sources.
+	// nack, non-nil in drop mode, carries drop notifications (and the
+	// dropped flits) to sources.
 	nack Nacker
-	// ashard, on sharded networks, is the shard-local arena magazine
-	// dropped flits retire through (drop retirement is the one recycle
-	// site outside the NI). Nil keeps the serial flit.Recycle path.
-	ashard *flit.ArenaShard
 
 	// --- cold config/stats tail ---
 
-	mesh       topology.Mesh
 	node       topology.NodeID
 	ejectWidth int
 
@@ -123,61 +121,31 @@ func NewSlab(count int) *Slab {
 	return &Slab{routers: make([]Router, count)}
 }
 
-// New returns a standalone router at node (a slab of one). rng drives
-// the randomized arbitration policy; a non-nil nack selects drop mode.
-func New(mesh topology.Mesh, node topology.NodeID, policy router.DeflectPolicy,
-	ejectWidth int, rng *rand.Rand, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter, nack Nacker) *Router {
-	return NewSlab(1).New(mesh, node, policy, ejectWidth, rng, wires, src, sink, meter, nack, nil)
-}
-
-// New carves the next router from the slab and initializes it at node.
-// A non-nil nack selects drop mode. tables, when non-nil, provides the
-// shared route tables and neighbor lists; nil builds private copies from
-// the mesh.
-func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, policy router.DeflectPolicy,
-	ejectWidth int, rng *rand.Rand, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter, nack Nacker, tables *topology.Tables) *Router {
-
+// New carves the next router from the slab and builds it at site. rng
+// drives the randomized arbitration policy; a non-nil nack selects drop
+// mode.
+func (s *Slab) New(site router.Site, policy router.DeflectPolicy, rng *rand.Rand, nack Nacker) *Router {
 	if s.next >= len(s.routers) {
 		panic("deflect: router slab exhausted")
 	}
 	r := &s.routers[s.next]
-	r.mesh = mesh
-	r.node = node
-	r.wires = wires
-	r.sink = sink
-	r.meter = meter
+	r.node = site.Node
+	r.wires = site.Wires
+	r.inbox = site.Inbox
+	r.sink = site.NI
+	r.meter = site.Meter
 	r.nack = nack
-	r.ejectWidth = ejectWidth
-	r.inj.Init(src)
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if wires.Ports[d].Exists() {
-			r.wired |= 1 << d
-		}
+	r.ejectWidth = site.EjectWidth
+	r.inj.Init(site.NI)
+	r.nbr = site.Neighbors()
+	for _, d := range r.nbr {
+		r.wired |= 1 << d
 	}
-	var routes topology.RouteTable
-	if tables != nil {
-		routes = tables.Routes(node)
-		r.nbr = tables.Neighbors(node)
-	} else {
-		routes = mesh.Routes(node)
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if wires.Ports[d].In != nil {
-				r.nbr = append(r.nbr, d)
-			}
-		}
-	}
-	r.defl.Init(mesh, node, policy, rng, routes)
+	r.defl.Init(r.node, policy, rng, site.Routes())
 	r.defl.SetProductiveOnly(nack != nil)
 	s.next++
 	return r
 }
-
-// SetInbox attaches the router's slot of the network's per-node
-// aggregate in-flight slab (see link.Pipe.SetTally). Build-time wiring,
-// kept across Reset.
-func (r *Router) SetInbox(t *[3]int32) { r.inbox = t }
 
 // DORTable exposes the deflector's per-destination DOR table and
 // NeighborDirs the wired-direction list (aliasing tests assert they
@@ -190,18 +158,12 @@ func (r *Router) NeighborDirs() []topology.Dir { return r.nbr }
 // Node implements router.Router.
 func (r *Router) Node() topology.NodeID { return r.node }
 
-// SetArenaShard routes drop-retirement recycling through a shard-local
-// arena magazine (see flit.ArenaShard). The network sets it when
-// building a sharded tick; nil keeps the serial flit.Recycle path.
-func (r *Router) SetArenaShard(s *flit.ArenaShard) { r.ashard = s }
-
 // Reset rewinds the router to its freshly constructed state (empty
 // latches, arbiters at slot 0, stats zeroed), reseeding the arbitration
-// randomness with seed — the root of the same stream number a fresh
-// construction would have consumed. Part of the cross-cell
-// network-reuse path.
-func (r *Router) Reset(seed int64) {
-	r.defl.Reseed(seed)
+// randomness from src's next stream — the number a fresh construction
+// would have consumed. Part of the cross-cell network-reuse path.
+func (r *Router) Reset(src *sim.Source) {
+	r.defl.Reseed(src.StreamSeed())
 	r.inj.Reset()
 	r.latches = r.latches[:0]
 	r.flits = r.flits[:0]
@@ -340,18 +302,11 @@ func (r *Router) send(now uint64, d topology.Dir, f *flit.Flit) {
 	}
 }
 
-// drop consumes a flit that lost every productive port (drop mode): the
-// source is NACKed for retransmission. The NACK path retains only the
-// packet description, never the flit itself — the retransmission
-// re-packetizes from scratch — so the flit is recycled here.
+// drop hands a flit that lost every productive port (drop mode) to the
+// Nacker, which NACKs its source for retransmission and retires it.
 func (r *Router) drop(now uint64, f *flit.Flit) {
 	r.dropped++
 	r.nack.Nack(now, f)
-	if r.ashard != nil {
-		r.ashard.Recycle(f)
-	} else {
-		flit.Recycle(f)
-	}
 }
 
 // inject offers vn's armed head flit an output left free by the network
@@ -380,7 +335,7 @@ func (r *Router) inject(now uint64, vn flit.VN, head *flit.Flit, outs uint8, tak
 func (r *Router) receive(now uint64) {
 	// inbox is the aggregate in-flight count toward this node: zero
 	// means every Recv below would miss, so skip the scan outright.
-	if r.inbox != nil && r.inbox[0] == 0 {
+	if r.inbox[0] == 0 {
 		return
 	}
 	for _, d := range r.nbr {
@@ -414,20 +369,8 @@ func (r *Router) Quiescent(now uint64) bool {
 	if len(r.latches) != 0 {
 		return false
 	}
-	if r.inbox != nil {
-		// One aggregate load (maintained by the inbound pipes' tally
-		// hooks) replaces the per-direction InFlight scan. Deflection
-		// networks carry no credit/control traffic, so the aggregate
-		// equals the data-pipe sum exactly.
-		if r.inbox[0] != 0 {
-			return false
-		}
-	} else {
-		for _, d := range r.nbr {
-			if r.wires.Ports[d].In.InFlight() != 0 {
-				return false
-			}
-		}
+	if r.inbox[0] != 0 {
+		return false
 	}
 	return r.inj.Idle()
 }
@@ -445,9 +388,9 @@ func (r *Router) FastForward(k uint64) {
 	r.inj.FastForward(k)
 }
 
-// LatchedFlits returns the number of flits currently held in pipeline
+// HeldFlits returns the number of flits currently held in pipeline
 // latches (drain checks).
-func (r *Router) LatchedFlits() int { return len(r.latches) }
+func (r *Router) HeldFlits() int { return len(r.latches) }
 
 // ForEachFlit calls fn for every flit currently latched in this router
 // (invariant checker's conservation and age scans).

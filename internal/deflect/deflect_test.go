@@ -5,32 +5,10 @@ import (
 	"testing"
 
 	"afcnet/internal/flit"
-	"afcnet/internal/link"
 	"afcnet/internal/router"
+	"afcnet/internal/router/routertest"
 	"afcnet/internal/topology"
 )
-
-type fakeNI struct {
-	queues    [flit.NumVNs][]*flit.Flit
-	delivered []*flit.Flit
-}
-
-func (f *fakeNI) Peek(vn flit.VN) *flit.Flit {
-	if len(f.queues[vn]) == 0 {
-		return nil
-	}
-	return f.queues[vn][0]
-}
-
-func (f *fakeNI) Pop(vn flit.VN) *flit.Flit {
-	fl := f.Peek(vn)
-	if fl != nil {
-		f.queues[vn] = f.queues[vn][1:]
-	}
-	return fl
-}
-
-func (f *fakeNI) Deliver(_ uint64, fl *flit.Flit) { f.delivered = append(f.delivered, fl) }
 
 const testLinkLat = 2
 
@@ -38,31 +16,23 @@ const testLinkLat = 2
 // holding the far end of all four links.
 type harness struct {
 	r     *Router
-	ni    *fakeNI
+	ni    *routertest.NI
 	now   uint64
 	wires router.Wires
 }
 
 func newHarness(t *testing.T, node topology.NodeID) *harness {
 	t.Helper()
-	mesh := topology.NewMesh(3, 3)
-	h := &harness{ni: &fakeNI{}}
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if _, ok := mesh.Neighbor(node, d); !ok {
-			continue
-		}
-		h.wires.Ports[d] = router.PortLinks{
-			Out:       link.NewData(testLinkLat + 1),
-			In:        link.NewData(testLinkLat + 1),
-			CreditOut: link.NewCredit(testLinkLat),
-			CreditIn:  link.NewCredit(testLinkLat),
-			CtrlOut:   link.NewCtrl(testLinkLat),
-			CtrlIn:    link.NewCtrl(testLinkLat),
-		}
-	}
-	h.r = New(mesh, node, router.PolicyRandom, 1, rand.New(rand.NewSource(9)),
-		h.wires, h.ni, h.ni, nil, nil)
+	h := &harness{}
+	h.r, h.wires, h.ni = newRouter(node, router.PolicyRandom, 9, nil)
 	return h
+}
+
+// newRouter builds the router at node of a 3x3 mesh through the slab,
+// wired as the network wires it; a non-nil nack selects drop mode.
+func newRouter(node topology.NodeID, policy router.DeflectPolicy, seed int64, nack Nacker) (*Router, router.Wires, *routertest.NI) {
+	site, ni := routertest.Wire(topology.NewMesh(3, 3), node, testLinkLat, 1)
+	return NewSlab(1).New(site, policy, rand.New(rand.NewSource(seed)), nack), site.Wires, ni
 }
 
 func (h *harness) tick() {
@@ -103,8 +73,8 @@ func TestEveryLatchedFlitDepartsNextCycle(t *testing.T) {
 		}
 		h.tick()
 		out += len(h.recvAll())
-		if h.r.LatchedFlits() > topology.NumDirs {
-			t.Fatalf("latch occupancy %d exceeds port count", h.r.LatchedFlits())
+		if h.r.HeldFlits() > topology.NumDirs {
+			t.Fatalf("latch occupancy %d exceeds port count", h.r.HeldFlits())
 		}
 	}
 	// Everything in must come out (minus what is still in flight in the
@@ -113,8 +83,8 @@ func TestEveryLatchedFlitDepartsNextCycle(t *testing.T) {
 		h.tick()
 		out += len(h.recvAll())
 	}
-	if out+len(h.ni.delivered) != sent {
-		t.Fatalf("in %d, out %d + delivered %d", sent, out, len(h.ni.delivered))
+	if out+len(h.ni.Delivered) != sent {
+		t.Fatalf("in %d, out %d + delivered %d", sent, out, len(h.ni.Delivered))
 	}
 }
 
@@ -164,8 +134,8 @@ func TestEjectionContention(t *testing.T) {
 		h.tick()
 		sentOut += len(h.recvAll())
 	}
-	if len(h.ni.delivered) != 1 {
-		t.Fatalf("ejected %d flits in one cycle, want 1", len(h.ni.delivered))
+	if len(h.ni.Delivered) != 1 {
+		t.Fatalf("ejected %d flits in one cycle, want 1", len(h.ni.Delivered))
 	}
 	if sentOut != 1 {
 		t.Fatalf("deflected %d flits, want 1", sentOut)
@@ -176,7 +146,7 @@ func TestEjectionContention(t *testing.T) {
 // flits, the router must not inject (footnote 3).
 func TestInjectionBackpressure(t *testing.T) {
 	h := newHarness(t, 4)
-	h.ni.queues[flit.VNReq] = append(h.ni.queues[flit.VNReq], mk(99, 4, 8))
+	h.ni.Enqueue(mk(99, 4, 8))
 	// Keep all four inputs busy so all four outputs are taken every cycle.
 	// (The first few cycles cover link latency before the squeeze is on;
 	// the injection register also needs one arming cycle, so check only
@@ -190,8 +160,8 @@ func TestInjectionBackpressure(t *testing.T) {
 		h.tick()
 		h.recvAll()
 	}
-	h.ni.queues[flit.VNReq] = h.ni.queues[flit.VNReq][:0]
-	h.ni.queues[flit.VNReq] = append(h.ni.queues[flit.VNReq], mk(99, 4, 8))
+	h.ni.Queues[flit.VNReq] = h.ni.Queues[flit.VNReq][:0]
+	h.ni.Enqueue(mk(99, 4, 8))
 	for c := 0; c < 20; c++ {
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			if h.wires.Ports[d].In.CanSend(h.now) {
@@ -201,7 +171,7 @@ func TestInjectionBackpressure(t *testing.T) {
 		h.tick()
 		h.recvAll()
 	}
-	if len(h.ni.queues[flit.VNReq]) != 1 {
+	if len(h.ni.Queues[flit.VNReq]) != 1 {
 		t.Fatal("router injected despite full output ports")
 	}
 	// Once inputs quiesce, the flit injects.
@@ -209,7 +179,7 @@ func TestInjectionBackpressure(t *testing.T) {
 		h.tick()
 		h.recvAll()
 	}
-	if len(h.ni.queues[flit.VNReq]) != 0 {
+	if len(h.ni.Queues[flit.VNReq]) != 0 {
 		t.Fatal("router failed to inject after ports freed")
 	}
 }
@@ -219,7 +189,7 @@ func TestInjectionBackpressure(t *testing.T) {
 // flits too).
 func TestInjectionPipelineLatency(t *testing.T) {
 	h := newHarness(t, 4)
-	h.ni.queues[flit.VNReq] = append(h.ni.queues[flit.VNReq], mk(7, 4, 5))
+	h.ni.Enqueue(mk(7, 4, 5))
 	h.tick() // cycle 0: arming only
 	if got := h.recvAll(); len(got) != 0 {
 		t.Fatal("flit dispatched in arming cycle")

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"afcnet/internal/flit"
-	"afcnet/internal/link"
 	"afcnet/internal/router"
+	"afcnet/internal/router/routertest"
 	"afcnet/internal/topology"
 )
 
@@ -18,7 +18,7 @@ func (r *recordingNacker) Nack(_ uint64, f *flit.Flit) { r.nacks = append(r.nack
 
 type dropHarness struct {
 	r     *Router
-	ni    *fakeNI
+	ni    *routertest.NI
 	nack  *recordingNacker
 	now   uint64
 	wires router.Wires
@@ -31,18 +31,8 @@ func newDropHarness(t *testing.T, node topology.NodeID) *dropHarness {
 
 func newDropHarnessPolicy(t *testing.T, node topology.NodeID, policy router.DeflectPolicy) *dropHarness {
 	t.Helper()
-	mesh := topology.NewMesh(3, 3)
-	h := &dropHarness{ni: &fakeNI{}, nack: &recordingNacker{}}
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if _, ok := mesh.Neighbor(node, d); !ok {
-			continue
-		}
-		h.wires.Ports[d] = router.PortLinks{
-			Out: link.NewData(testLinkLat + 1),
-			In:  link.NewData(testLinkLat + 1),
-		}
-	}
-	h.r = New(mesh, node, policy, 1, rand.New(rand.NewSource(3)), h.wires, h.ni, h.ni, nil, h.nack)
+	h := &dropHarness{nack: &recordingNacker{}}
+	h.r, h.wires, h.ni = newRouter(node, policy, 3, h.nack)
 	return h
 }
 
@@ -98,8 +88,8 @@ func TestDropEjectionContention(t *testing.T) {
 		h.tick()
 		h.recvAll()
 	}
-	if len(h.ni.delivered) != 1 {
-		t.Fatalf("delivered = %d, want 1", len(h.ni.delivered))
+	if len(h.ni.Delivered) != 1 {
+		t.Fatalf("delivered = %d, want 1", len(h.ni.Delivered))
 	}
 	if len(h.nack.nacks) != 1 {
 		t.Fatalf("nacks = %d, want 1", len(h.nack.nacks))

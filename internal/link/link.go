@@ -72,21 +72,7 @@ type Pipe[T any] struct {
 
 // NewPipe returns a pipe with the given latency. It panics if lat < 1:
 // zero-latency pipes would make results depend on tick order.
-func NewPipe[T any](lat int) *Pipe[T] {
-	if lat < 1 {
-		panic(fmt.Sprintf("link: pipe latency must be >= 1, got %d", lat))
-	}
-	n := 1
-	for n < lat+1 {
-		n <<= 1
-	}
-	return &Pipe[T]{
-		lat:      lat,
-		mask:     n - 1,
-		vals:     make([]T, n),
-		occupied: make([]bool, n),
-	}
-}
+func NewPipe[T any](lat int) *Pipe[T] { return NewSlab[T](1, lat).New() }
 
 // Latency returns the pipe's latency in cycles.
 func (p *Pipe[T]) Latency() int { return p.lat }

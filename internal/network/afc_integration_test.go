@@ -366,3 +366,87 @@ func TestRealisticVCANetworkStillCorrect(t *testing.T) {
 		t.Fatalf("lost packets: %d/%d", n.DeliveredPackets(), n.CreatedPackets())
 	}
 }
+
+// TestModeFormationTiming: after a heavy load step, the fraction of AFC
+// routers in backpressured mode, sampled every 25 cycles, must cross 1/2
+// within a bounded time, and the mean smoothed intensity must rise past
+// the center router's low threshold on the way.
+func TestModeFormationTiming(t *testing.T) {
+	n := network.New(network.Config{Kind: network.AFC, Seed: 23})
+	n.AddTicker(traffic.NewGenerator(n, traffic.Config{Rate: 0.7}, n.RandStream))
+	crossedAt, crossed, peak := uint64(0), false, 0.0
+	for n.Now() < 10_000 {
+		buffered, intensity := 0, 0.0
+		for i := 0; i < n.Nodes(); i++ {
+			r := n.Router(topology.NodeID(i)).(*core.Router)
+			if r.Mode() == core.ModeBuffered {
+				buffered++
+			}
+			intensity += r.Intensity()
+		}
+		if !crossed && 2*buffered >= n.Nodes() {
+			crossedAt, crossed = n.Now(), true
+		}
+		peak = max(peak, intensity/float64(n.Nodes()))
+		n.Run(25)
+	}
+	if !crossed {
+		t.Fatal("backpressured fraction never crossed 0.5")
+	}
+	if crossedAt > 6_000 {
+		t.Errorf("backpressured region took %d cycles to form", crossedAt)
+	}
+	if peak < 1.7 {
+		t.Errorf("intensity peak %.2f below the center low threshold", peak)
+	}
+}
+
+// TestModeDutyCyclesCoverWallClock checks that AFC mode accounting is a
+// partition of time: every router charges exactly one mode per cycle, so
+// per-router mode cycles sum to the wall clock and the network aggregate
+// sums to cycles × routers. Load is heavy enough to force mode switches,
+// so the sum covers bless, switching and backpressured residency.
+func TestModeDutyCyclesCoverWallClock(t *testing.T) {
+	const cycles = 8_000
+	n := network.New(network.Config{Kind: network.AFC, Seed: 23})
+	gen := traffic.NewGenerator(n, traffic.Config{Rate: 0.6}, n.RandStream)
+	n.AddTicker(gen)
+	n.Run(cycles)
+
+	for node := 0; node < n.Nodes(); node++ {
+		r, ok := n.Router(topology.NodeID(node)).(*core.Router)
+		if !ok {
+			t.Fatalf("node %d: AFC network has non-AFC router %T", node, n.Router(topology.NodeID(node)))
+		}
+		mc := r.ModeCycles()
+		if sum := mc[core.ModeBless] + mc[core.ModeSwitching] + mc[core.ModeBuffered]; sum != cycles {
+			t.Errorf("node %d: mode cycles %v sum to %d, want %d", node, mc, sum, cycles)
+		}
+	}
+	ms := n.ModeStats()
+	total := ms.BlessCycles + ms.SwitchingCycles + ms.BufferedCycles
+	if want := uint64(cycles) * uint64(n.Nodes()); total != want {
+		t.Errorf("aggregate mode cycles %d, want %d", total, want)
+	}
+	if ms.ForwardSwitches == 0 || ms.BufferedCycles == 0 {
+		t.Errorf("load never forced a forward switch (forward=%d buffered=%d); duty-cycle sum untested under switching",
+			ms.ForwardSwitches, ms.BufferedCycles)
+	}
+}
+
+// TestWatchdogQuietOnRealNetworks: every router kind makes continuous
+// progress under load — delivered packets advance in every 3000-cycle
+// window that ends with the network not drained.
+func TestWatchdogQuietOnRealNetworks(t *testing.T) {
+	for _, kind := range []network.Kind{network.Backpressured, network.Bless, network.AFC} {
+		n := network.New(network.Config{Kind: kind, Seed: 23})
+		n.AddTicker(traffic.NewGenerator(n, traffic.Config{Rate: 0.4}, n.RandStream))
+		for n.Now() < 15_000 {
+			before := n.DeliveredPackets()
+			n.Run(3000)
+			if n.DeliveredPackets() == before && !n.Drained() {
+				t.Errorf("%s: no packet delivered in the window ending at cycle %d", kind, n.Now())
+			}
+		}
+	}
+}

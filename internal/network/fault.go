@@ -1,11 +1,6 @@
 package network
 
-import (
-	"fmt"
-
-	"afcnet/internal/router"
-	"afcnet/internal/topology"
-)
+import "afcnet/internal/topology"
 
 // Fault injection: the scenario layer (internal/scenario) kills links
 // and routers mid-run and throttles link capacity over duty windows. All
@@ -35,16 +30,6 @@ type faultEdge struct {
 	Dir  topology.Dir
 }
 
-// faultable returns node's router as a fault-injection target. Every
-// kind the network constructs implements router.FaultInjectable.
-func (n *Network) faultable(node topology.NodeID) router.FaultInjectable {
-	fi, ok := n.routers[node].(router.FaultInjectable)
-	if !ok {
-		panic(fmt.Sprintf("network: router kind %T at node %d does not support fault injection", n.routers[node], node))
-	}
-	return fi
-}
-
 // KillLink permanently kills the bidirectional link between node and its
 // neighbor in direction d. A no-op at mesh boundaries (no link) and for
 // already-dead links; idempotent.
@@ -67,7 +52,7 @@ func (n *Network) killHalf(node topology.NodeID, d topology.Dir) {
 	}
 	n.deadLinks[e] = true
 	n.haveFault = true
-	n.faultable(node).SetPortDead(d)
+	n.routers[node].SetPortDead(d)
 	n.wakeShards()
 }
 
@@ -85,7 +70,7 @@ func (n *Network) KillRouter(node topology.NodeID) {
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		n.KillLink(node, d)
 	}
-	n.faultable(node).SetDead()
+	n.routers[node].SetDead()
 	n.wakeShards()
 }
 
@@ -100,10 +85,10 @@ func (n *Network) SetLinkBlocked(node topology.NodeID, d topology.Dir, blocked b
 		return
 	}
 	if !n.LinkDead(node, d) {
-		n.faultable(node).SetPortBlocked(d, blocked)
+		n.routers[node].SetPortBlocked(d, blocked)
 	}
 	if opp := d.Opposite(); !n.LinkDead(nb, opp) {
-		n.faultable(nb).SetPortBlocked(opp, blocked)
+		n.routers[nb].SetPortBlocked(opp, blocked)
 	}
 	n.wakeShards()
 }

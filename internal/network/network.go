@@ -325,10 +325,10 @@ func (n *Network) build() {
 			meter = n.newMeter()
 		}
 		n.meters[node] = meter
-		n.routers[node] = n.newRouter(node, wires[node], meter)
-		if ib, ok := n.routers[node].(interface{ SetInbox(*[3]int32) }); ok {
-			ib.SetInbox(&n.inbox[node])
-		}
+		n.routers[node] = n.newRouter(router.Site{
+			Node: node, Tables: n.tables, Wires: wires[node], Inbox: &n.inbox[node],
+			NI: n.nis[node], Meter: meter, EjectWidth: sys.EjectWidth,
+		})
 	}
 	// One bank entry + housekeeping + a handful of AddTicker clients
 	// (generator or CMP, probe, checker, observer).
@@ -354,13 +354,12 @@ func (n *Network) newMeter() *energy.Meter {
 	return energy.NewMeter(n.cfg.Energy, k.FlitWidthBits(), slots, topology.NumPorts, dynBuf)
 }
 
-func (n *Network) newRouter(node topology.NodeID, w router.Wires, meter *energy.Meter) router.Router {
-	sys := n.cfg.System
-	nif := n.nis[node]
+func (n *Network) newRouter(site router.Site) router.Router {
 	switch n.cfg.Kind {
 	case Backpressured, BackpressuredIdealBypass:
-		return n.vcSlab.New(n.mesh, node, sys.Baseline, sys.EjectWidth, w, nif, nif, meter, n.tables)
+		return n.vcSlab.New(site)
 	case Bless, BlessDrop:
+		node, nif := site.Node, n.nis[site.Node]
 		var nack deflect.Nacker
 		if n.cfg.Kind == BlessDrop {
 			nif.SetRetain(true)
@@ -379,13 +378,12 @@ func (n *Network) newRouter(node topology.NodeID, w router.Wires, meter *energy.
 			})
 			nack = &nodeNacker{net: n, node: node}
 		}
-		return n.deflSlab.New(n.mesh, node, n.cfg.Policy, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter, nack, n.tables)
+		return n.deflSlab.New(site, n.cfg.Policy, n.source.Stream(), nack)
 	case AFC:
-		return n.coreSlab.New(n.mesh, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
-			core.Options{Policy: n.cfg.Policy, MisrouteThreshold: n.cfg.MisrouteThreshold, Tables: n.tables})
+		return n.coreSlab.New(site, n.source.Stream(),
+			core.Options{Policy: n.cfg.Policy, MisrouteThreshold: n.cfg.MisrouteThreshold})
 	case AFCAlwaysBuffered:
-		return n.coreSlab.New(n.mesh, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
-			core.Options{AlwaysBuffered: true, Policy: n.cfg.Policy, Tables: n.tables})
+		return n.coreSlab.New(site, n.source.Stream(), core.Options{AlwaysBuffered: true, Policy: n.cfg.Policy})
 	}
 	panic(fmt.Sprintf("network: unknown kind %v", n.cfg.Kind))
 }
@@ -471,14 +469,7 @@ func (n *Network) Reset(cfg Config) bool {
 	// the kinds whose constructors do — the same numbering a fresh build
 	// would have produced.
 	for _, r := range n.routers {
-		switch rt := r.(type) {
-		case *vcrouter.Router:
-			rt.Reset()
-		case *deflect.Router:
-			rt.Reset(n.source.StreamSeed())
-		case *core.Router:
-			rt.Reset(n.source.StreamSeed())
-		}
+		r.Reset(n.source)
 	}
 	n.nacks = n.nacks[:0]
 	clear(n.nackPending)
@@ -574,11 +565,12 @@ type nodeNacker struct {
 	node topology.NodeID
 }
 
-// Nack implements deflect.Nacker. The drop site recycles the flit right
-// after this call, so the staged path captures the fields it needs by
-// value; scheduling itself touches network-global state (pending set,
-// source-NI epoch, NACK heap) and therefore runs inline only outside a
-// parallel phase, journaled otherwise.
+// Nack implements deflect.Nacker. The dropped flit is retired through
+// the drop node's NI (which picks the serial arena or its shard's
+// magazine) once the NACK is scheduled, so the staged path captures the
+// fields it needs by value; scheduling itself touches network-global
+// state (pending set, source-NI epoch, NACK heap) and therefore runs
+// inline only outside a parallel phase, journaled otherwise.
 func (nk *nodeNacker) Nack(now uint64, f *flit.Flit) {
 	n := nk.net
 	if n.inParallel {
@@ -586,9 +578,10 @@ func (nk *nodeNacker) Nack(now uint64, f *flit.Flit) {
 		n.journals[sh] = append(n.journals[sh], shardEffect{
 			kind: effNack, node: nk.node, src: f.Src, pkt: f.PacketID, retx: f.Retransmits,
 		})
-		return
+	} else {
+		n.scheduleNack(now, nk.node, f.Src, f.PacketID, f.Retransmits)
 	}
-	n.scheduleNack(now, nk.node, f.Src, f.PacketID, f.Retransmits)
+	n.nis[nk.node].Recycle(f)
 }
 
 // scheduleNack schedules a source retransmission for a flit dropped at

@@ -54,7 +54,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"afcnet/internal/deflect"
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
 	"afcnet/internal/router"
@@ -392,8 +391,8 @@ type shardedBank struct {
 
 // newShardedBank slices n.routers by band into a shardedBank. It also
 // wires the per-node shard plumbing that only makes sense once the bank
-// exists: each NI's arena magazine and band-wake flag, and each
-// deflection router's magazine for drop retirement.
+// exists: each NI's arena magazine (delivery and drop retirement both
+// recycle through it) and band-wake flag.
 func (n *Network) newShardedBank() *shardedBank {
 	b := &shardedBank{
 		n:     n,
@@ -408,9 +407,6 @@ func (n *Network) newShardedBank() *shardedBank {
 		for v := band.Lo; v < band.Hi; v++ {
 			n.nis[v].SetArenaShard(n.arena.Shard(s))
 			n.nis[v].SetWakeFlag(&b.wake[s])
-			if dr, ok := n.routers[v].(*deflect.Router); ok {
-				dr.SetArenaShard(n.arena.Shard(s))
-			}
 		}
 	}
 	return b

@@ -146,10 +146,7 @@ func (n *Network) Drained() bool {
 		}
 	}
 	for _, r := range n.routers {
-		if h, ok := r.(interface{ BufferedFlits() int }); ok && h.BufferedFlits() > 0 {
-			return false
-		}
-		if h, ok := r.(interface{ LatchedFlits() int }); ok && h.LatchedFlits() > 0 {
+		if r.HeldFlits() > 0 {
 			return false
 		}
 	}

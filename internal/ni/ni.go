@@ -399,6 +399,13 @@ func (n *NI) Pop(vn flit.VN) *flit.Flit {
 // the arena on every path out of delivery.
 func (n *NI) Deliver(now uint64, f *flit.Flit) {
 	n.deliver(now, f)
+	n.Recycle(f)
+}
+
+// Recycle retires a consumed flit to the arena: through the shard
+// magazine on sharded networks, the serial path otherwise. Delivery and
+// drop retirement (the drop kind's Nacker) both end here.
+func (n *NI) Recycle(f *flit.Flit) {
 	if n.ashard != nil {
 		n.ashard.Recycle(f)
 	} else {
@@ -499,7 +506,7 @@ func (n *NI) SampleQueuesIdle(k uint64) {
 // QueueLen returns the flits currently waiting for injection.
 func (n *NI) QueueLen() int { return n.queuedFlits }
 
-// QueuedFlits implements router.QueuedCounter: the O(1) total of flits
+// QueuedFlits implements router.LocalSource: the O(1) total of flits
 // waiting for injection across all virtual networks.
 func (n *NI) QueuedFlits() int { return n.queuedFlits }
 

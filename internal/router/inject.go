@@ -13,27 +13,19 @@ import "afcnet/internal/flit"
 // The fields the idle path (Idle, FastForward) touches lead, so they
 // share the embedding router's hot cache lines.
 type Injector struct {
-	// queued is src's queue total when src can report it in O(1), and a
-	// peek over its VN queues otherwise; only zero versus nonzero counts.
-	queued QueuedCounter
-	arb    RoundRobin
+	src LocalSource
+	arb RoundRobin
 	// armedAt models the per-VN injection-stage registers: a flit at the
 	// head of a VN's NI queue becomes eligible for port assignment one
 	// cycle after it reaches the head, so injected flits see the same
 	// 2-cycle router pipeline as network flits. Zero means the register
 	// is empty.
 	armedAt [flit.NumVNs]uint64
-	src     LocalSource
 }
 
 // Init (re)initializes the stage in place over src.
 func (s *Injector) Init(src LocalSource) {
 	s.src = src
-	if q, ok := src.(QueuedCounter); ok {
-		s.queued = q
-	} else {
-		s.queued = peekCounter{src}
-	}
 	s.arb.Init(flit.NumVNs)
 	s.armedAt = [flit.NumVNs]uint64{}
 }
@@ -47,20 +39,7 @@ func (s *Injector) Reset() {
 
 // Idle reports whether the local source has nothing queued on any VN —
 // the source half of the owning router's Quiescent check.
-func (s *Injector) Idle() bool { return s.queued.QueuedFlits() == 0 }
-
-// peekCounter stands in for a source's queue total when it has none:
-// nonzero exactly when some VN queue holds a flit.
-type peekCounter struct{ LocalSource }
-
-func (p peekCounter) QueuedFlits() int {
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if p.Peek(vn) != nil {
-			return 1
-		}
-	}
-	return 0
-}
+func (s *Injector) Idle() bool { return s.src.QueuedFlits() == 0 }
 
 // FastForward replays k idle cycles of Run: each rotates the round-robin
 // by one and finds every queue empty, zeroing its register (already zero

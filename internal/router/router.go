@@ -1,16 +1,18 @@
-// Package router defines the interfaces and helpers shared by all three
+// Package router defines the contract and helpers shared by all three
 // router implementations (backpressured baseline, backpressureless
-// deflection, and AFC): the Router interface, the link bundles that wire
-// routers to their neighbors, the local-port interfaces to the network
-// interface, round-robin arbitration, and the deflection port-assignment
-// engine and injection stage used by the BLESS router and by AFC's
-// backpressureless mode.
+// deflection, and AFC): the Router interface, the per-node Site every
+// kind is built from, the link bundles that wire routers to their
+// neighbors, the local-port interfaces to the network interface,
+// round-robin arbitration, and the deflection port-assignment engine and
+// injection stage used by the BLESS router and by AFC's backpressureless
+// mode.
 package router
 
 import (
 	"fmt"
 	"math/bits"
 
+	"afcnet/internal/energy"
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
 	"afcnet/internal/sim"
@@ -33,10 +35,65 @@ import (
 // FastForward(1) — the sharded skip decision is made from a
 // start-of-cycle view of the pipe counters and leans on that
 // equivalence to stay serial-identical.
+//
+// Router declares every call the network and the invariant checker make
+// on a router of any kind; kind-specific statistics (deflections, drops,
+// AFC mode counters) stay on the concrete types. All fault-injection
+// calls come from serial ticker context (never inside a sharded
+// parallel phase).
 type Router interface {
 	sim.Quiescer
 	Node() topology.NodeID
+	// Reset rewinds the router to its freshly built state for the
+	// reused-network path. A kind that draws randomness reseeds from
+	// src, consuming one stream number exactly as its construction did;
+	// a kind that draws none leaves src untouched.
+	Reset(src *sim.Source)
+	// SetPortBlocked marks (or clears) the data path of output d as
+	// unusable: routing treats the link as missing. Used both for
+	// permanent dead links and for duty-cycle link throttling.
+	SetPortBlocked(d topology.Dir, blocked bool)
+	// SetPortDead permanently kills output d: data is blocked and, on
+	// kinds that carry them, credit/control traffic stops too.
+	SetPortDead(d topology.Dir)
+	// SetDead freezes the whole router: Tick and FastForward become
+	// no-ops and Quiescent reports true. Held flits stay parked but
+	// remain visible to ForEachFlit, so conservation ledgers balance.
+	SetDead()
+	// ForEachFlit calls fn for every flit the router holds (buffers,
+	// escape latches, pipeline latches).
+	ForEachFlit(fn func(*flit.Flit))
+	// HeldFlits counts the flits ForEachFlit would visit (drain checks).
+	HeldFlits() int
 }
+
+// Site is everything the network wires up at one node before building
+// its router, whatever the kind: the shared route tables, the node's
+// link ends and its slot of the per-node in-flight slab, its network
+// interface and its energy meter (nil disables accounting). Every
+// direction in Neighbors carries all six pipes; the others carry none.
+//
+// Inbox mirrors the summed in-flight count of every pipe inbound to the
+// node, split by pipe class — [0] data, [1] credit, [2] ctrl — through
+// link.Pipe.SetTally on each of Wires' In, CreditIn and CtrlIn pipes.
+// One cache line then decides quiescence, and each receive scan skips
+// outright when its class is idle.
+type Site struct {
+	Node       topology.NodeID
+	Tables     *topology.Tables
+	Wires      Wires
+	Inbox      *[3]int32
+	NI         NI
+	Meter      *energy.Meter
+	EjectWidth int
+}
+
+// Routes returns the node's route table, a view into the shared tables.
+func (s Site) Routes() topology.RouteTable { return s.Tables.Routes(s.Node) }
+
+// Neighbors returns the node's wired directions, a view into the shared
+// tables.
+func (s Site) Neighbors() []topology.Dir { return s.Tables.Neighbors(s.Node) }
 
 // LocalSink receives flits ejected at this node. The network interface
 // implements it; per the paper, receive-side buffering is provisioned by
@@ -55,6 +112,16 @@ type LocalSource interface {
 	Peek(vn flit.VN) *flit.Flit
 	// Pop removes and returns the next flit on vn, or nil.
 	Pop(vn flit.VN) *flit.Flit
+	// QueuedFlits returns the total flits queued over every vn in O(1);
+	// routers consult it every cycle to decide quiescence.
+	QueuedFlits() int
+}
+
+// NI is a node's network interface as its router sees it: the source it
+// injects from and the sink it ejects into.
+type NI interface {
+	LocalSource
+	LocalSink
 }
 
 // PortLinks bundles the channels of one mesh port. For a port facing
@@ -71,9 +138,6 @@ type PortLinks struct {
 	CtrlOut *link.CtrlLink // our mode notifications to the neighbor
 	CtrlIn  *link.CtrlLink // the neighbor's mode notifications to us
 }
-
-// Exists reports whether this port is wired (false at mesh boundaries).
-func (p PortLinks) Exists() bool { return p.Out != nil }
 
 // Wires is the full set of mesh-port links of one router, indexed by
 // direction.
@@ -172,28 +236,3 @@ func (r *RoundRobin) Advance(k uint64) {
 
 // Reset rewinds the pointer to slot 0, the state of a fresh arbiter.
 func (r *RoundRobin) Reset() { r.next = 0 }
-
-// FaultInjectable is implemented by every router kind to support the
-// scenario layer's fault injection (internal/scenario). All calls come
-// from serial ticker context (never inside a sharded parallel phase).
-type FaultInjectable interface {
-	// SetPortBlocked marks (or clears) the data path of output d as
-	// unusable: routing treats the link as missing. Used both for
-	// permanent dead links and for duty-cycle link throttling.
-	SetPortBlocked(d topology.Dir, blocked bool)
-	// SetPortDead permanently kills output d: data is blocked and, on
-	// kinds that carry them, credit/control traffic stops too.
-	SetPortDead(d topology.Dir)
-	// SetDead freezes the whole router: Tick and FastForward become
-	// no-ops and Quiescent reports true. Held flits stay parked but
-	// remain visible to ForEachFlit, so conservation ledgers balance.
-	SetDead()
-}
-
-// QueuedCounter is implemented by local sources that can report their
-// total queued flits in O(1) (the network interface does). Routers use
-// it to cheapen the per-cycle quiescence check; they fall back to
-// per-VN Peek calls for sources that do not implement it.
-type QueuedCounter interface {
-	QueuedFlits() int
-}

@@ -9,6 +9,14 @@ import (
 	"afcnet/internal/topology"
 )
 
+// newDeflector returns a deflector for the router at node over the
+// mesh's shared route tables.
+func newDeflector(mesh topology.Mesh, node topology.NodeID, policy DeflectPolicy, rng *rand.Rand) *Deflector {
+	d := &Deflector{}
+	d.Init(node, policy, rng, mesh.NewTables().Routes(node))
+	return d
+}
+
 func TestRoundRobinFairness(t *testing.T) {
 	rr := NewRoundRobin(3)
 	all := func(int) bool { return true }
@@ -75,7 +83,7 @@ func TestDeflectorAlwaysAssigns(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
 	for _, policy := range []DeflectPolicy{PolicyRandom, PolicyOldest} {
 		for node := topology.NodeID(0); node < 9; node++ {
-			d := NewDeflector(mesh, node, policy, rand.New(rand.NewSource(int64(node))))
+			d := newDeflector(mesh, node, policy, rand.New(rand.NewSource(int64(node))))
 			deg := mesh.Degree(node)
 			// worst case: deg network flits, none destined here
 			flits := make([]*flit.Flit, deg)
@@ -109,7 +117,7 @@ func TestDeflectorAlwaysAssigns(t *testing.T) {
 func TestDeflectorEjectsAtMostWidth(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
 	node := topology.NodeID(4)
-	d := NewDeflector(mesh, node, PolicyRandom, rand.New(rand.NewSource(1)))
+	d := newDeflector(mesh, node, PolicyRandom, rand.New(rand.NewSource(1)))
 	flits := []*flit.Flit{
 		mkFlit(1, node, flit.VNReq), mkFlit(2, node, flit.VNReq),
 		mkFlit(3, node, flit.VNReq), mkFlit(4, node, flit.VNReq),
@@ -140,7 +148,7 @@ func TestDeflectorEjectsAtMostWidth(t *testing.T) {
 
 func TestDeflectorPrefersProductiveDirs(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
-	d := NewDeflector(mesh, 0, PolicyRandom, rand.New(rand.NewSource(2)))
+	d := newDeflector(mesh, 0, PolicyRandom, rand.New(rand.NewSource(2)))
 	// single flit, no contention: must take the DOR direction (East for
 	// 0 -> 2) and not be a deflection
 	f := mkFlit(1, 2, flit.VNReq)
@@ -154,7 +162,7 @@ func TestDeflectorPrefersProductiveDirs(t *testing.T) {
 
 func TestDeflectorOldestPriority(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
-	d := NewDeflector(mesh, 0, PolicyOldest, rand.New(rand.NewSource(3)))
+	d := newDeflector(mesh, 0, PolicyOldest, rand.New(rand.NewSource(3)))
 	old := &flit.Flit{PacketID: 1, Len: 1, Dst: 2, VN: flit.VNReq, InjectedAt: 5}
 	young := &flit.Flit{PacketID: 2, Len: 1, Dst: 2, VN: flit.VNReq, InjectedAt: 50}
 	// Both want East; the old one must get it every time.
@@ -177,7 +185,7 @@ func TestDeflectorRespectsMasking(t *testing.T) {
 	node := topology.NodeID(4)
 	f := func(mask uint8, nf uint8) bool {
 		rng := rand.New(rand.NewSource(int64(mask)*31 + int64(nf)))
-		d := NewDeflector(mesh, node, PolicyRandom, rng)
+		d := newDeflector(mesh, node, PolicyRandom, rng)
 		nFlits := int(nf)%4 + 1
 		flits := make([]*flit.Flit, nFlits)
 		for i := range flits {
@@ -224,7 +232,7 @@ func TestDeflectorExhaustiveSmallCases(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
 	node := topology.NodeID(4)
 	rng := rand.New(rand.NewSource(99))
-	d := NewDeflector(mesh, node, PolicyRandom, rng)
+	d := newDeflector(mesh, node, PolicyRandom, rng)
 	for mask := 0; mask < 16; mask++ {
 		usable := everyVN(uint8(mask))
 		usableCount := 0

@@ -73,9 +73,10 @@ func (m *IntensityMonitor) Observe(flits int) {
 // fast-forward skipped idle cycles. Once the window is clear and full,
 // each Observe(0) reduces to ewma = w*ewma + (1-w)*0, and adding a
 // positive zero is a float identity — the loop below replays exactly
-// that multiply chain without the window bookkeeping.
+// that multiply chain, rotating the all-zero window in one step.
 func (m *IntensityMonitor) ObserveIdle(k uint64) {
 	if m.sum == 0 && m.filled == len(m.window) && m.window == [4]int{} {
+		m.idx = int((uint64(m.idx) + k) % uint64(len(m.window)))
 		for ; k > 0; k-- {
 			m.ewma = m.weight * m.ewma
 		}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -277,12 +278,14 @@ func TestNodeValidation(t *testing.T) {
 	}
 }
 
-// TestRoutesMatchDOR checks the precomputed per-source route tables hold
-// exactly what DORNext and ProductiveDirs compute.
+// TestRoutesMatchDOR checks the shared per-source route tables hold
+// exactly what DORNext and ProductiveDirs compute, and the neighbor
+// lists exactly the wired directions in ascending order.
 func TestRoutesMatchDOR(t *testing.T) {
 	m := NewMesh(5, 4)
+	tab := m.NewTables()
 	for cur := NodeID(0); cur < NodeID(m.Nodes()); cur++ {
-		rt := m.Routes(cur)
+		rt := tab.Routes(cur)
 		for dst := NodeID(0); dst < NodeID(m.Nodes()); dst++ {
 			if rt.DOR[dst] != m.DORNext(cur, dst) {
 				t.Fatalf("Routes(%d).DOR[%d] = %s, want %s", cur, dst, rt.DOR[dst], m.DORNext(cur, dst))
@@ -297,6 +300,15 @@ func TestRoutesMatchDOR(t *testing.T) {
 					t.Fatalf("Routes(%d).Prod[%d][%d] = %s, want %s", cur, dst, i, ps.D[i], d)
 				}
 			}
+		}
+		var nbr []Dir
+		for d := Dir(0); d < NumDirs; d++ {
+			if _, ok := m.Neighbor(cur, d); ok {
+				nbr = append(nbr, d)
+			}
+		}
+		if got := tab.Neighbors(cur); !reflect.DeepEqual(got, nbr) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", cur, got, nbr)
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
 	"afcnet/internal/router"
+	"afcnet/internal/sim"
 	"afcnet/internal/topology"
 )
 
@@ -65,9 +66,9 @@ type candidate struct {
 // The field order is a deliberate hot/cold split (see core.Router): the
 // leading fields are what the quiescence probe and FastForward touch
 // every cycle, the middle is the active-tick working set, the tail is
-// cold configuration/fault/stats state. Routers are normally carved
-// from a Slab in ascending node order — band-major for the sharded
-// tick's row bands.
+// cold configuration/fault/stats state. Routers are carved from a Slab
+// in ascending node order — band-major for the sharded tick's row
+// bands.
 type Router struct {
 	// --- hot tick-path core (Quiescent + FastForward) ---
 
@@ -78,16 +79,13 @@ type Router struct {
 	// held counts flits currently in the input buffers (maintained at the
 	// enqueue/dequeue sites) so quiescence and drain checks are O(1).
 	held int
-	// inbox, when non-nil, is this router's slot of the network's
-	// per-node aggregate in-flight slab (link.Pipe.SetTally), split by
-	// pipe class: [0] data, [1] credit, [2] ctrl (always zero here —
-	// nothing sends on the control line in a backpressured network).
-	// One cache line replaces Quiescent's pipe scan, and each receive
-	// scan skips when its own class is idle. Nil falls back to scans.
+	// inbox is this router's slot of the network's per-node aggregate
+	// in-flight slab (router.Site), split by pipe class: [0] data,
+	// [1] credit, [2] ctrl (always zero here — nothing sends on the
+	// control line in a backpressured network).
 	inbox *[3]int32
 	meter *energy.Meter
-	// srcCount is src when it can report its queue total in O(1).
-	srcCount router.QueuedCounter
+	src   router.LocalSource
 
 	// --- active-tick working set ---
 
@@ -100,7 +98,6 @@ type Router struct {
 	inArb   [topology.NumPorts]router.RoundRobin
 	outArb  [topology.NumPorts]router.RoundRobin
 	vcaArb  [topology.NumPorts][flit.NumVNs]router.RoundRobin
-	injArb  router.RoundRobin // over VNs
 	injVC   [flit.NumVNs]int
 	injOpen [flit.NumVNs]bool
 
@@ -108,13 +105,11 @@ type Router struct {
 
 	// nbr lists the directions with a wired neighbor, so the per-cycle
 	// receive loops skip the empty ports of edge and corner routers.
-	// A view into the network's shared topology.Tables under slab
-	// construction.
+	// A view into the network's shared topology.Tables.
 	nbr []topology.Dir
 
 	// dor is node's precomputed DOR next-hop table, indexed by
-	// destination — shared topology.Tables storage under slab
-	// construction, a private copy otherwise.
+	// destination — shared topology.Tables storage.
 	dor []topology.Dir
 
 	// blockedOut marks output ports whose data link is fault-blocked
@@ -127,12 +122,10 @@ type Router struct {
 	deadOut [topology.NumDirs]bool
 
 	wires router.Wires
-	src   router.LocalSource
 	sink  router.LocalSink
 
 	// --- cold config/stats tail ---
 
-	mesh         topology.Mesh
 	node         topology.NodeID
 	depth        int
 	ejectWidth   int
@@ -154,14 +147,14 @@ type Slab struct {
 	// of one configuration, built once and aliased (read-only).
 	vnVCs  [flit.NumVNs][]int
 	numVCs int
-	depth  int
+	cfg    config.Baseline
 	next   int
 }
 
-// NewSlab returns a slab with room for count routers; cfg fixes the VC
-// geometry and buffer depth (and must match the subsequent New calls).
+// NewSlab returns a slab with room for count routers of configuration
+// cfg.
 func NewSlab(count int, cfg config.Baseline) *Slab {
-	s := &Slab{depth: cfg.BufDepth}
+	s := &Slab{cfg: cfg}
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
 		for i := 0; i < cfg.VCsPerVN[vn]; i++ {
 			s.vnVCs[vn] = append(s.vnVCs[vn], s.numVCs)
@@ -171,41 +164,29 @@ func NewSlab(count int, cfg config.Baseline) *Slab {
 	s.routers = make([]Router, count)
 	s.ins = make([]inVC, count*topology.NumPorts*s.numVCs)
 	s.outs = make([]outVC, count*topology.NumPorts*s.numVCs)
-	s.entries = make([]entry, count*topology.NumPorts*s.numVCs*s.depth)
+	s.entries = make([]entry, count*topology.NumPorts*s.numVCs*cfg.BufDepth)
 	return s
 }
 
-// New returns a standalone baseline router at node (a slab of one) with
-// the given configuration, wired to its neighbors and its network
-// interface. The meter may be nil (no energy accounting).
-func New(mesh topology.Mesh, node topology.NodeID, cfg config.Baseline,
-	ejectWidth int, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter) *Router {
-	return NewSlab(1, cfg).New(mesh, node, cfg, ejectWidth, wires, src, sink, meter, nil)
-}
-
-// New carves the next router from the slab and initializes it at node.
-// tables, when non-nil, provides the shared route tables and neighbor
-// lists; nil builds private copies from the mesh.
-func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.Baseline,
-	ejectWidth int, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter, tables *topology.Tables) *Router {
-
+// New carves the next router from the slab and builds it at site.
+func (s *Slab) New(site router.Site) *Router {
 	if s.next >= len(s.routers) {
 		panic("vcrouter: router slab exhausted")
 	}
 	r := &s.routers[s.next]
-	r.mesh = mesh
-	r.node = node
-	r.wires = wires
-	r.src = src
-	r.sink = sink
-	r.meter = meter
-	r.depth = cfg.BufDepth
-	r.ejectWidth = ejectWidth
-	r.realisticVCA = cfg.RealisticVCA
+	r.node = site.Node
+	r.wires = site.Wires
+	r.inbox = site.Inbox
+	r.src = site.NI
+	r.sink = site.NI
+	r.meter = site.Meter
+	r.depth = s.cfg.BufDepth
+	r.ejectWidth = site.EjectWidth
+	r.realisticVCA = s.cfg.RealisticVCA
 	r.vnVCs = s.vnVCs
 	r.numVCs = s.numVCs
+	r.nbr = site.Neighbors()
+	r.dor = site.Routes().DOR
 	base := s.next * topology.NumPorts
 	for p := 0; p < topology.NumPorts; p++ {
 		lo := (base + p) * s.numVCs
@@ -214,11 +195,11 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.Baseline
 		for v := range r.in[p] {
 			// Each VC's FIFO gets a full-depth carve: appends stay within
 			// capacity, so the steady state allocates nothing.
-			elo := (lo + v) * s.depth
-			r.in[p][v].q = s.entries[elo:elo : elo+s.depth]
+			elo := (lo + v) * r.depth
+			r.in[p][v].q = s.entries[elo : elo : elo+r.depth]
 		}
 		for v := range r.out[p] {
-			r.out[p][v].credits = cfg.BufDepth
+			r.out[p][v].credits = r.depth
 		}
 		r.inArb[p].Init(s.numVCs)
 		r.outArb[p].Init(topology.NumPorts)
@@ -229,26 +210,9 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.Baseline
 	for vn := range r.injVC {
 		r.injVC[vn] = flit.NoVC
 	}
-	r.srcCount, _ = src.(router.QueuedCounter)
-	if tables != nil {
-		r.nbr = tables.Neighbors(node)
-		r.dor = tables.Routes(node).DOR
-	} else {
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if pl := &wires.Ports[d]; pl.In != nil || pl.CreditIn != nil {
-				r.nbr = append(r.nbr, d)
-			}
-		}
-		r.dor = mesh.Routes(node).DOR
-	}
 	s.next++
 	return r
 }
-
-// SetInbox attaches the router's slot of the network's per-node
-// aggregate in-flight slab (see link.Pipe.SetTally). Build-time wiring,
-// kept across Reset.
-func (r *Router) SetInbox(t *[3]int32) { r.inbox = t }
 
 // DORTable exposes the router's per-destination DOR table and
 // NeighborDirs its wired-direction list (aliasing tests assert they
@@ -264,9 +228,9 @@ func (r *Router) Node() topology.NodeID { return r.node }
 // Reset rewinds the router to its freshly constructed state, keeping
 // every buffer's backing array: VC queues empty, packet state closed,
 // full credits, arbiters at slot 0, stats zeroed. Part of the cross-cell
-// network-reuse path; this router draws no randomness, so no reseeding
-// is involved.
-func (r *Router) Reset() {
+// network-reuse path; this router draws no randomness, so src is left
+// untouched.
+func (r *Router) Reset(*sim.Source) {
 	for p := 0; p < topology.NumPorts; p++ {
 		for v := range r.in[p] {
 			vc := &r.in[p][v]
@@ -344,15 +308,11 @@ func (r *Router) Tick(now uint64) {
 func (r *Router) receiveCredits(now uint64) {
 	// inbox[1] counts credits in flight toward this node: zero means
 	// every Recv below would miss, so the scan is skipped outright.
-	if r.inbox != nil && r.inbox[1] == 0 {
+	if r.inbox[1] == 0 {
 		return
 	}
 	for _, d := range r.nbr {
-		pl := &r.wires.Ports[d]
-		if pl.CreditIn == nil {
-			continue
-		}
-		if c, ok := pl.CreditIn.Recv(now); ok {
+		if c, ok := r.wires.Ports[d].CreditIn.Recv(now); ok {
 			ov := &r.out[d][c.VC]
 			ov.credits++
 			if ov.credits > r.depth {
@@ -519,11 +479,9 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 	// Return a credit upstream for the freed buffer slot (unless the
 	// wire died: a dead link carries no credits either).
 	if in != topology.Local && !r.deadOut[in] {
-		if pl := r.wires.Ports[in]; pl.CreditOut != nil {
-			pl.CreditOut.Send(now, link.Credit{VC: c.vc, VN: f.VN})
-			if r.meter != nil {
-				r.meter.Credit()
-			}
+		r.wires.Ports[in].CreditOut.Send(now, link.Credit{VC: c.vc, VN: f.VN})
+		if r.meter != nil {
+			r.meter.Credit()
 		}
 	}
 
@@ -560,7 +518,7 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 // where each virtual network has its own injection path.
 func (r *Router) inject(now uint64) {
 	// Empty NI: every peek below would return nil.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
+	if r.src.QueuedFlits() == 0 {
 		return
 	}
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
@@ -623,15 +581,11 @@ func (r *Router) injectionVC(vn flit.VN, f *flit.Flit) int {
 // receive buffers this cycle's link arrivals. Credits guarantee space; an
 // overflow is an invariant violation.
 func (r *Router) receive(now uint64) {
-	if r.inbox != nil && r.inbox[0] == 0 {
+	if r.inbox[0] == 0 {
 		return // see receiveCredits: no flits in flight toward this node
 	}
 	for _, d := range r.nbr {
-		pl := &r.wires.Ports[d]
-		if pl.In == nil {
-			continue
-		}
-		f, ok := pl.In.Recv(now)
+		f, ok := r.wires.Ports[d].In.Recv(now)
 		if !ok {
 			continue
 		}
@@ -668,32 +622,11 @@ func (r *Router) Quiescent(now uint64) bool {
 	}
 	// The inbox tallies mirror the summed InFlight of every inbound
 	// pipe (the ctrl column included, but nothing sends on the control
-	// line in a backpressured network), so one cache line of loads
-	// decides exactly what the pipe scan would.
-	if r.inbox != nil {
-		if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
-			return false
-		}
-	} else {
-		for _, d := range r.nbr {
-			pl := &r.wires.Ports[d]
-			if pl.In != nil && pl.In.InFlight() != 0 {
-				return false
-			}
-			if pl.CreditIn != nil && pl.CreditIn.InFlight() != 0 {
-				return false
-			}
-		}
+	// line in a backpressured network).
+	if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
+		return false
 	}
-	if r.srcCount != nil {
-		return r.srcCount.QueuedFlits() == 0
-	}
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if r.src.Peek(vn) != nil {
-			return false
-		}
-	}
-	return true
+	return r.src.QueuedFlits() == 0
 }
 
 // FastForward applies k skipped idle cycles (sim.Quiescer): an idle tick
@@ -707,9 +640,9 @@ func (r *Router) FastForward(k uint64) {
 	}
 }
 
-// BufferedFlits returns the number of flits currently held in this
-// router's input buffers (drain checks and credit-conservation tests).
-func (r *Router) BufferedFlits() int { return r.held }
+// HeldFlits returns the number of flits currently held in this router's
+// input buffers (drain checks and credit-conservation tests).
+func (r *Router) HeldFlits() int { return r.held }
 
 // Credits returns the current credit count for output port d, VC v
 // (exposed for invariant tests).

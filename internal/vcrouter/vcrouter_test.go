@@ -8,43 +8,16 @@ import (
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
 	"afcnet/internal/router"
+	"afcnet/internal/router/routertest"
 	"afcnet/internal/topology"
 )
-
-// fakeNI is a minimal LocalSource/LocalSink for driving one router.
-type fakeNI struct {
-	queues    [flit.NumVNs][]*flit.Flit
-	delivered []*flit.Flit
-}
-
-func (f *fakeNI) Peek(vn flit.VN) *flit.Flit {
-	if len(f.queues[vn]) == 0 {
-		return nil
-	}
-	return f.queues[vn][0]
-}
-
-func (f *fakeNI) Pop(vn flit.VN) *flit.Flit {
-	fl := f.Peek(vn)
-	if fl != nil {
-		f.queues[vn] = f.queues[vn][1:]
-	}
-	return fl
-}
-
-func (f *fakeNI) Deliver(_ uint64, fl *flit.Flit) { f.delivered = append(f.delivered, fl) }
-
-func (f *fakeNI) enqueuePacket(dst topology.NodeID, vn flit.VN, length int, id uint64) {
-	p := flit.Packet{ID: id, Src: 0, Dst: dst, VN: vn, Len: length}
-	f.queues[vn] = append(f.queues[vn], p.Flits()...)
-}
 
 // harness wires one router at node 0 of a 2x2 mesh, holding the far ends
 // of its East and South links by hand.
 type harness struct {
 	mesh  topology.Mesh
 	r     *Router
-	ni    *fakeNI
+	ni    *routertest.NI
 	now   uint64
 	wires router.Wires
 }
@@ -53,20 +26,18 @@ const testLinkLat = 2
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
+	return newHarnessCfg(config.Default().Baseline)
+}
+
+func newHarnessCfg(cfg config.Baseline) *harness {
 	mesh := topology.NewMesh(2, 2)
-	h := &harness{mesh: mesh, ni: &fakeNI{}}
-	for _, d := range []topology.Dir{topology.East, topology.South} {
-		h.wires.Ports[d] = router.PortLinks{
-			Out:       link.NewData(testLinkLat + 1),
-			In:        link.NewData(testLinkLat + 1),
-			CreditOut: link.NewCredit(testLinkLat),
-			CreditIn:  link.NewCredit(testLinkLat),
-			CtrlOut:   link.NewCtrl(testLinkLat),
-			CtrlIn:    link.NewCtrl(testLinkLat),
-		}
-	}
-	h.r = New(mesh, 0, config.Default().Baseline, 1, h.wires, h.ni, h.ni, nil)
-	return h
+	site, ni := routertest.Wire(mesh, 0, testLinkLat, 1)
+	return &harness{mesh: mesh, ni: ni, wires: site.Wires, r: NewSlab(1, cfg).New(site)}
+}
+
+func (h *harness) enqueuePacket(dst topology.NodeID, vn flit.VN, length int, id uint64) {
+	p := flit.Packet{ID: id, Src: 0, Dst: dst, VN: vn, Len: length}
+	h.ni.Enqueue(p.Flits()...)
 }
 
 func (h *harness) tick() {
@@ -83,7 +54,7 @@ func (h *harness) recvOut(d topology.Dir) *flit.Flit {
 
 func TestWormholeOrderAndSingleVC(t *testing.T) {
 	h := newHarness(t)
-	h.ni.enqueuePacket(1, flit.VNData, 5, 1) // East
+	h.enqueuePacket(1, flit.VNData, 5, 1) // East
 	var got []*flit.Flit
 	for c := 0; c < 40 && len(got) < 5; c++ {
 		h.tick()
@@ -115,11 +86,11 @@ func TestEjectionAtLocalPort(t *testing.T) {
 	fl := p.Flits()[0]
 	fl.VC = 0
 	h.wires.Ports[topology.East].In.Send(h.now, fl)
-	for c := 0; c < 10 && len(h.ni.delivered) == 0; c++ {
+	for c := 0; c < 10 && len(h.ni.Delivered) == 0; c++ {
 		h.tick()
 	}
-	if len(h.ni.delivered) != 1 || h.ni.delivered[0].PacketID != 9 {
-		t.Fatalf("delivered = %v", h.ni.delivered)
+	if len(h.ni.Delivered) != 1 || h.ni.Delivered[0].PacketID != 9 {
+		t.Fatalf("delivered = %v", h.ni.Delivered)
 	}
 }
 
@@ -128,7 +99,7 @@ func TestEjectionAtLocalPort(t *testing.T) {
 func TestCreditStall(t *testing.T) {
 	h := newHarness(t)
 	depth := config.Default().Baseline.BufDepth
-	h.ni.enqueuePacket(1, flit.VNData, flit.DataPacketFlits, 1)
+	h.enqueuePacket(1, flit.VNData, flit.DataPacketFlits, 1)
 	sent := 0
 	dataVC := -1
 	for c := 0; c < 100; c++ {
@@ -183,18 +154,18 @@ func TestVCsAllowBypass(t *testing.T) {
 		}
 		h.recvOut(topology.South)
 	}
-	if h.r.BufferedFlits() == 0 {
+	if h.r.HeldFlits() == 0 {
 		t.Fatal("packet A did not stall in the input buffer")
 	}
 	// Packet B: a single-flit data packet on East input VC 5, destined
 	// locally; it must eject despite A's stall on the same input port.
 	fb := &flit.Flit{PacketID: 2, Seq: 0, Len: 1, Src: 1, Dst: 0, VN: flit.VNData, VC: 5}
 	h.wires.Ports[topology.East].In.Send(h.now, fb)
-	for c := 0; c < 10 && len(h.ni.delivered) == 0; c++ {
+	for c := 0; c < 10 && len(h.ni.Delivered) == 0; c++ {
 		h.tick()
 	}
-	if len(h.ni.delivered) != 1 || h.ni.delivered[0].PacketID != 2 {
-		t.Fatalf("packet B blocked behind stalled packet A: delivered %v", h.ni.delivered)
+	if len(h.ni.Delivered) != 1 || h.ni.Delivered[0].PacketID != 2 {
+		t.Fatalf("packet B blocked behind stalled packet A: delivered %v", h.ni.Delivered)
 	}
 }
 
@@ -202,8 +173,8 @@ func TestVCsAllowBypass(t *testing.T) {
 // must not share an output VC while the first is unfinished (rule R1).
 func TestDistinctPacketsDistinctVCs(t *testing.T) {
 	h := newHarness(t)
-	h.ni.enqueuePacket(1, flit.VNData, 4, 1)
-	h.ni.enqueuePacket(1, flit.VNData, 4, 2)
+	h.enqueuePacket(1, flit.VNData, 4, 1)
+	h.enqueuePacket(1, flit.VNData, 4, 2)
 	vcOf := map[uint64]int{}
 	countByPkt := map[uint64]int{}
 	for c := 0; c < 80 && (countByPkt[1] < 4 || countByPkt[2] < 4); c++ {
@@ -255,7 +226,7 @@ func TestCreditConservationUnderRandomTraffic(t *testing.T) {
 			}
 			vn := flit.VN(rng.Intn(int(flit.NumVNs)))
 			l := flit.LenForVN(vn)
-			h.ni.enqueuePacket(dst, vn, l, pid)
+			h.enqueuePacket(dst, vn, l, pid)
 			pid++
 			injected += l
 		}
@@ -292,11 +263,11 @@ func TestCreditConservationUnderRandomTraffic(t *testing.T) {
 			}
 		}
 	}
-	if received == 0 || len(h.ni.delivered) == 0 {
+	if received == 0 || len(h.ni.Delivered) == 0 {
 		t.Fatal("stress test moved no traffic")
 	}
-	if h.r.BufferedFlits() > 3*depth {
-		t.Errorf("suspiciously high buffer occupancy: %d", h.r.BufferedFlits())
+	if h.r.HeldFlits() > 3*depth {
+		t.Errorf("suspiciously high buffer occupancy: %d", h.r.HeldFlits())
 	}
 }
 
@@ -306,7 +277,7 @@ func TestCreditConservationUnderRandomTraffic(t *testing.T) {
 func TestSingleFlitPacketsHoldTheirVC(t *testing.T) {
 	h := newHarness(t)
 	// Exhaust East data credits so an allocated single-flit packet stalls.
-	h.ni.enqueuePacket(1, flit.VNData, 1, 1)
+	h.enqueuePacket(1, flit.VNData, 1, 1)
 	busyCount := func() int {
 		n := 0
 		for v := 0; v < 8; v++ {
@@ -325,7 +296,7 @@ func TestSingleFlitPacketsHoldTheirVC(t *testing.T) {
 	// The flit was sent immediately (credits start full), so instead test
 	// the stall case with a second packet after credits are gone.
 	for i := uint64(2); i < 12; i++ {
-		h.ni.enqueuePacket(1, flit.VNData, 1, i)
+		h.enqueuePacket(1, flit.VNData, 1, i)
 	}
 	for c := 0; c < 60; c++ {
 		h.tick()
@@ -333,7 +304,7 @@ func TestSingleFlitPacketsHoldTheirVC(t *testing.T) {
 	}
 	// Credits exhausted (8 sent, 2 allocated-but-stalled at most). At
 	// least one VC must be held busy by a stalled single-flit packet.
-	if busyCount() == 0 && h.r.BufferedFlits() > 0 {
+	if busyCount() == 0 && h.r.HeldFlits() > 0 {
 		t.Fatal("stalled single-flit packet does not hold its output VC busy")
 	}
 }
@@ -343,20 +314,10 @@ func TestSingleFlitPacketsHoldTheirVC(t *testing.T) {
 // Section II's realistic backpressured router).
 func TestRealisticVCAAddsOneStage(t *testing.T) {
 	mk := func(realistic bool) uint64 {
-		mesh := topology.NewMesh(2, 2)
-		h := &harness{mesh: mesh, ni: &fakeNI{}}
-		for _, d := range []topology.Dir{topology.East, topology.South} {
-			h.wires.Ports[d] = router.PortLinks{
-				Out:       link.NewData(testLinkLat + 1),
-				In:        link.NewData(testLinkLat + 1),
-				CreditOut: link.NewCredit(testLinkLat),
-				CreditIn:  link.NewCredit(testLinkLat),
-			}
-		}
 		cfg := config.Default().Baseline
 		cfg.RealisticVCA = realistic
-		h.r = New(mesh, 0, cfg, 1, h.wires, h.ni, h.ni, nil)
-		h.ni.enqueuePacket(1, flit.VNReq, 1, 1)
+		h := newHarnessCfg(cfg)
+		h.enqueuePacket(1, flit.VNReq, 1, 1)
 		for c := uint64(0); c < 30; c++ {
 			h.tick()
 			if f := h.recvOut(topology.East); f != nil {
